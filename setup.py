@@ -13,10 +13,7 @@ pure-Python (existing CI jobs keep exercising the pure fallback), while
 
 compiles ``repro.simmachine._cengine`` in place.  The build is
 failure-tolerant — a missing compiler or headers degrades to the pure
-backend instead of breaking the install.  When mypyc is importable,
-``REPRO_BUILD_MYPYC=1`` additionally compiles the typed hot modules
-(engine/memory/network and the simmpi collectives) through mypyc; the
-REP015 lint rule keeps those modules free of mypyc-hostile dynamics.
+backend instead of breaking the install.
 """
 
 import os
@@ -60,21 +57,5 @@ if os.environ.get("REPRO_BUILD_EXT"):
         )
     )
     cmdclass["build_ext"] = optional_build_ext
-
-    if os.environ.get("REPRO_BUILD_MYPYC"):
-        try:
-            from mypyc.build import mypycify
-        except ImportError:
-            print("warning: REPRO_BUILD_MYPYC set but mypyc is unavailable")
-        else:  # pragma: no cover - mypyc not in the baseline toolchain
-            ext_modules.extend(
-                mypycify(
-                    [
-                        "src/repro/simmachine/memory.py",
-                        "src/repro/simmachine/network.py",
-                        "src/repro/simmpi/comm.py",
-                    ]
-                )
-            )
 
 setup(ext_modules=ext_modules, cmdclass=cmdclass)

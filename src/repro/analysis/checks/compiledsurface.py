@@ -3,8 +3,8 @@
 The simulation hot core (``simmachine/engine.py``, ``memory.py``,
 ``network.py`` and ``simmpi/comm.py``) is eligible for ahead-of-time
 compilation: the C engine mirrors ``engine.py`` class for class, and the
-optional mypyc gate in ``setup.py`` compiles the other three.  Compiled
-modules resolve attributes at build time, so the dynamics CPython happily
+other three are kept fit for the same treatment.  Compiled modules
+resolve attributes at build time, so the dynamics CPython happily
 tolerates become silent divergence there:
 
 * a module-level ``__getattr__`` intercepts lookups the compiled module

@@ -172,9 +172,13 @@ class PerformanceDatabase:
         there first wins, and every caller sees that winner — the pattern
         the serving layer's workers rely on. A corrupted winner (checksum
         mismatch, see :meth:`get`) is purged and the insert retried once,
-        so a single bout of write corruption self-heals.
+        so a single bout of write corruption self-heals. A winner that is
+        gone on re-read was purged by a concurrent reader that found it
+        corrupt; the insert is repeated without spending this caller's
+        retry, so callers racing on one key cannot use up each other's.
         """
-        for _attempt in range(2):
+        corrupt_reads = 0
+        while True:
             conn = self._connection()
             with self._lock:
                 conn.execute(
@@ -184,7 +188,7 @@ class PerformanceDatabase:
                     self._row(measurement),
                 )
                 conn.commit()
-            stored = self.get(
+            stored, corrupt = self._verified(
                 measurement.benchmark,
                 measurement.problem_class,
                 measurement.nprocs,
@@ -192,10 +196,13 @@ class PerformanceDatabase:
             )
             if stored is not None:
                 return stored
-        raise MeasurementError(
-            f"measurement {measurement.key} failed integrity verification "
-            "after retry (persistent corruption)"
-        )
+            if corrupt:
+                corrupt_reads += 1
+                if corrupt_reads == 2:
+                    raise MeasurementError(
+                        f"measurement {measurement.key} failed integrity "
+                        "verification after retry (persistent corruption)"
+                    )
 
     # -- read ----------------------------------------------------------------
 
@@ -215,6 +222,16 @@ class PerformanceDatabase:
         instead of silently poisoning predictions. Legacy rows without a
         checksum are accepted as-is.
         """
+        return self._verified(benchmark, problem_class, nprocs, kernels)[0]
+
+    def _verified(
+        self,
+        benchmark: str,
+        problem_class: str,
+        nprocs: int,
+        kernels: tuple[str, ...],
+    ) -> tuple[Optional[Measurement], bool]:
+        """:meth:`get`, plus whether this read found the row corrupt."""
         kernels_json = json.dumps(list(kernels))
         with self._lock:
             row = self._connection().execute(
@@ -223,13 +240,13 @@ class PerformanceDatabase:
                 (benchmark, problem_class, nprocs, kernels_json),
             ).fetchone()
         if row is None:
-            return None
+            return None, False
         samples, overhead, checksum = row
         if faults.check("db.read.corrupt") is not None:
             samples = _tamper(samples)
         if checksum is not None and payload_checksum(samples, overhead) != checksum:
             self._purge_corrupt(benchmark, problem_class, nprocs, kernels_json)
-            return None
+            return None, True
         return Measurement(
             benchmark=benchmark,
             problem_class=problem_class,
@@ -237,7 +254,7 @@ class PerformanceDatabase:
             kernels=tuple(kernels),
             samples=tuple(json.loads(samples)),
             overhead=overhead,
-        )
+        ), False
 
     def _purge_corrupt(
         self, benchmark: str, problem_class: str, nprocs: int, kernels_json: str

@@ -18,12 +18,17 @@ Three cost components:
   each other's message backlog, which running each kernel alone (with the
   harness draining between iterations) does not — the destructive coupling
   mechanism for communication-dominated configurations.
+
+The backlog is stored run-length encoded: one ``(start, count)`` entry per
+burst plus a running total. Every message of a burst shares one ``start``,
+so a burst leaves the window whole or stays whole, and popping whole runs
+gives the same counts as keeping one entry per message.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import CommunicationError
 from repro.simmachine.machine import NetworkConfig
@@ -31,8 +36,7 @@ from repro.simmachine.machine import NetworkConfig
 __all__ = ["MessageTiming", "NetworkModel"]
 
 
-@dataclass(frozen=True)
-class MessageTiming:
+class MessageTiming(NamedTuple):
     """Times computed for one message."""
 
     start: float        # when injection began (adapter became available)
@@ -50,23 +54,14 @@ class NetworkModel:
         self.config = config
         self.nprocs = nprocs
         self._nic_free = [0.0] * nprocs
-        self._inflight: deque[float] = deque()
+        # Contention backlog: (start, messages) per burst, oldest first,
+        # and the number of messages it holds.
+        self._runs: deque[tuple[float, int]] = deque()
+        self._backlog = 0
         # Aggregate statistics (read by the profiler).
         self.messages_sent = 0
         self.bytes_sent = 0
         self.max_inflight = 0
-
-    # -- internal ----------------------------------------------------------
-
-    def _current_inflight(self, now: float) -> int:
-        window = self.config.drain_window
-        if window <= 0.0:
-            return 0
-        horizon = now - window
-        inflight = self._inflight
-        while inflight and inflight[0] < horizon:
-            inflight.popleft()
-        return len(inflight)
 
     # -- API used by simmpi --------------------------------------------------
 
@@ -91,29 +86,34 @@ class NetworkModel:
         if messages < 1:
             raise CommunicationError(f"message burst count must be >= 1, got {messages}")
         cfg = self.config
-        start = max(now, self._nic_free[src])
+        nic_free = self._nic_free[src]
+        start = nic_free if nic_free > now else now
         inject = messages * cfg.per_message_overhead + nbytes * cfg.injection_byte_time
         sender_done = start + inject
         self._nic_free[src] = sender_done
-        inflight = self._current_inflight(start)
+        window = cfg.drain_window
+        if window > 0.0:
+            # Expire the bursts injected before the window, then add this one.
+            horizon = start - window
+            runs = self._runs
+            inflight = self._backlog
+            while runs and runs[0][0] < horizon:
+                inflight -= runs.popleft()[1]
+            runs.append((start, messages))
+            self._backlog = backlog = inflight + messages
+            if backlog > self.max_inflight:
+                self.max_inflight = backlog
+        else:
+            inflight = 0
         contention = 1.0 + cfg.contention_coeff * inflight
         if src == dst:
             # Self-message: no wire, just a copy through the adapter.
             arrival = sender_done
         else:
             arrival = sender_done + cfg.latency * contention + nbytes * cfg.byte_time
-        if cfg.drain_window > 0.0:
-            self._inflight.extend([start] * messages)
-            if len(self._inflight) > self.max_inflight:
-                self.max_inflight = len(self._inflight)
         self.messages_sent += messages
         self.bytes_sent += nbytes
-        return MessageTiming(
-            start=start,
-            sender_done=sender_done,
-            arrival=arrival,
-            contention=contention,
-        )
+        return MessageTiming(start, sender_done, arrival, contention)
 
     def drain(self) -> None:
         """Forget the contention backlog (measurement-harness flush).
@@ -122,4 +122,5 @@ class NetworkModel:
         sees another kernel's messages — mirroring that on the real machine
         the instrumentation barrier lets the switch quiesce.
         """
-        self._inflight.clear()
+        self._runs.clear()
+        self._backlog = 0

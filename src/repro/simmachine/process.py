@@ -73,19 +73,25 @@ class RankContext:
         self.label = "_"
         self.comm = None  # attached by repro.simmpi.attach_world
         self.counters: dict[str, KernelCounters] = {}
+        # The current label's counters, created on first activity.
+        self._current: Optional[KernelCounters] = None
 
     # -- bookkeeping -------------------------------------------------------
 
     def set_label(self, label: str) -> None:
         """Name the kernel that subsequent activity is charged to."""
         self.label = label
+        self._current = None
         if self.machine.trace is not None:
             self.machine.trace.add(self.sim.now, self.rank, label, "phase")
 
     def _counters(self) -> KernelCounters:
-        c = self.counters.get(self.label)
+        c = self._current
         if c is None:
-            c = self.counters[self.label] = KernelCounters()
+            c = self.counters.get(self.label)
+            if c is None:
+                c = self.counters[self.label] = KernelCounters()
+            self._current = c
         return c
 
     # -- work --------------------------------------------------------------

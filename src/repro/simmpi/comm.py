@@ -19,7 +19,7 @@ See the package docstring for usage. Implementation notes:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import CommunicationError
@@ -40,12 +40,12 @@ class World:
         self.machine = machine
         self.size = machine.nprocs
         # pending_msgs[dst][(src, tag)] -> deque of (arrival, nbytes, payload)
-        self.pending_msgs: list[dict[tuple[int, int], deque]] = [
-            {} for _ in range(self.size)
-        ]
+        self.pending_msgs: list[
+            defaultdict[tuple[int, int], deque[tuple[float, int, Any]]]
+        ] = [defaultdict(deque) for _ in range(self.size)]
         # pending_recvs[dst][(src, tag)] -> deque of Event
-        self.pending_recvs: list[dict[tuple[int, int], deque]] = [
-            {} for _ in range(self.size)
+        self.pending_recvs: list[defaultdict[tuple[int, int], deque[Event]]] = [
+            defaultdict(deque) for _ in range(self.size)
         ]
         #: Fault injection hook for tests: called as ``fn(src, dst, tag)``
         #: for every message; returning True silently drops it (the sender
@@ -70,6 +70,7 @@ class Comm:
         self.size = world.size
         self.ctx: RankContext = world.machine.contexts[rank]
         self.sim = world.machine.sim
+        self._network = world.machine.network
         self._coll_seq = 0
 
     # -- validation ---------------------------------------------------------
@@ -112,47 +113,56 @@ class Comm:
         ``nbytes`` as one matched unit (see
         :meth:`repro.simmachine.network.NetworkModel.send_timing`).
         """
-        self._check_peer(dest)
-        self._check_tag(tag, _collective)
-        timing = self.world.machine.network.send_timing(
-            self.rank, dest, nbytes, self.sim.now, messages
-        )
+        # The common case is checked inline; the checks raise the typed
+        # errors for everything else.
+        if type(dest) is not int or not 0 <= dest < self.size:
+            self._check_peer(dest)
+        if tag < 0 or (tag >= COLL_TAG_BASE and not _collective):
+            self._check_tag(tag, _collective)
+        sim = self.sim
+        now = sim.now
+        timing = self._network.send_timing(self.rank, dest, nbytes, now, messages)
         self.ctx.account_send(nbytes)
-        if self.world.fault_injector is not None and self.world.fault_injector(
+        world = self.world
+        if world.fault_injector is not None and world.fault_injector(
             self.rank, dest, tag
         ):
             # Message lost in the network: sender proceeds normally.
-            self.world.dropped_messages += 1
-            send_ev = self.sim.timeout(max(0.0, timing.sender_done - self.sim.now))
-            return Request(send_ev, "send", dest, tag, nbytes)
-        key = (self.rank, tag)
-        recv_box = self.world.pending_recvs[dest].get(key)
-        if recv_box:
-            ev = recv_box.popleft()
-            ev.trigger_at(payload, max(0.0, timing.arrival - self.sim.now))
+            world.dropped_messages += 1
         else:
-            self.world.pending_msgs[dest].setdefault(key, deque()).append(
-                (timing.arrival, nbytes, payload)
-            )
-        send_ev = self.sim.timeout(max(0.0, timing.sender_done - self.sim.now))
+            key = (self.rank, tag)
+            recv_box = world.pending_recvs[dest].get(key)
+            if recv_box:
+                delay = timing.arrival - now
+                recv_box.popleft().trigger_at(payload, delay if delay > 0.0 else 0.0)
+            else:
+                world.pending_msgs[dest][key].append((timing.arrival, nbytes, payload))
+        # After the receiver's event: the engine breaks time ties in
+        # scheduling order.
+        delay = timing.sender_done - now
+        send_ev = sim.timeout(delay if delay > 0.0 else 0.0)
         return Request(send_ev, "send", dest, tag, nbytes)
 
     def irecv(self, source: int, tag: int = 0, _collective: bool = False) -> Request:
         """Nonblocking receive from a specific source and tag."""
-        self._check_peer(source)
-        self._check_tag(tag, _collective)
+        if type(source) is not int or not 0 <= source < self.size:
+            self._check_peer(source)
+        if tag < 0 or (tag >= COLL_TAG_BASE and not _collective):
+            self._check_tag(tag, _collective)
         key = (source, tag)
         boxes = self.world.pending_msgs[self.rank]
         queue = boxes.get(key)
-        ev: Event = self.sim.event()
+        sim = self.sim
+        ev: Event = sim.event()
         nbytes = -1
         if queue:
             arrival, nbytes, payload = queue.popleft()
             if not queue:
                 del boxes[key]
-            ev.trigger_at(payload, max(0.0, arrival - self.sim.now))
+            delay = arrival - sim.now
+            ev.trigger_at(payload, delay if delay > 0.0 else 0.0)
         else:
-            self.world.pending_recvs[self.rank].setdefault(key, deque()).append(ev)
+            self.world.pending_recvs[self.rank][key].append(ev)
         return Request(ev, "recv", source, tag, nbytes)
 
     def wait(self, request: Request) -> Generator[Event, Any, Any]:
@@ -197,14 +207,19 @@ class Comm:
     ) -> Generator[Event, Any, None]:
         """Blocking (buffered) send: returns once the message is injected."""
         req = self.isend(dest, nbytes, tag, payload, messages, _collective)
-        yield from self.wait(req)
+        t0 = self.sim.now
+        yield req.event
+        self.ctx.account_wait(self.sim.now - t0)
 
     def recv(
         self, source: int, tag: int = 0, _collective: bool = False
     ) -> Generator[Event, Any, Any]:
         """Blocking receive; returns the payload."""
         req = self.irecv(source, tag, _collective)
-        return (yield from self.wait(req))
+        t0 = self.sim.now
+        value = yield req.event
+        self.ctx.account_wait(self.sim.now - t0)
+        return value
 
     def sendrecv(
         self,

@@ -4,7 +4,9 @@ import threading
 
 import pytest
 
+from repro import faults
 from repro.errors import MeasurementError
+from repro.faults import FaultPlan, FaultSpec
 from repro.instrument import ChainRunner, MeasurementConfig, PerformanceDatabase
 from repro.instrument.runner import Measurement
 from repro.npb import make_benchmark
@@ -96,6 +98,51 @@ class TestStoreIfAbsent:
             db.store_if_absent(meas())
             with pytest.raises(MeasurementError, match="already stored"):
                 db.store(meas())
+
+    def test_rows_purged_by_a_concurrent_reader_do_not_spend_the_retry(
+        self, tmp_path, monkeypatch
+    ):
+        """Between each of the writer's inserts and its re-read, a reader
+        thread hits ``db.read.corrupt`` and purges the fresh row. The
+        writer's own reads never see corruption, so it must not give up."""
+        path = str(tmp_path / "perf.sqlite")
+        key = ("BT", "S", 4, ("A",))
+        read_corrupt = FaultPlan(
+            specs=(FaultSpec(site="db.read.corrupt", every_nth=1),)
+        )
+        purges = []
+
+        with PerformanceDatabase(path) as db, PerformanceDatabase(path) as other:
+
+            def corrupt_read():
+                with faults.active(read_corrupt):
+                    purges.append(other.get(*key))
+
+            class Connection:
+                """The writer's connection: a reader runs after each insert."""
+
+                def __init__(self, conn):
+                    self._conn = conn
+                    self._sql = ""
+
+                def execute(self, sql, *args):
+                    self._sql = sql
+                    return self._conn.execute(sql, *args)
+
+                def commit(self):
+                    self._conn.commit()
+                    if self._sql.startswith("INSERT") and len(purges) < 2:
+                        reader = threading.Thread(target=corrupt_read)
+                        reader.start()
+                        reader.join(timeout=30.0)
+                        assert not reader.is_alive()
+
+            connection = db._connection
+            monkeypatch.setattr(db, "_connection", lambda: Connection(connection()))
+            stored = db.store_if_absent(meas(samples=(1.0,)))
+            assert purges == [None, None]
+            assert stored.samples == (1.0,)
+            assert other.get(*key) == stored
 
 
 class _StubRunner:

@@ -1,6 +1,10 @@
 """Interconnect model: injection serialization, contention, bursts."""
 
+from collections import deque
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CommunicationError
 from repro.simmachine.machine import NetworkConfig
@@ -146,3 +150,84 @@ class TestBursts:
         net = NetworkModel(config(), nprocs=2)
         net.send_timing(0, 1, 1000, 0.0, messages=25)
         assert net.messages_sent == 25
+
+
+class PerMessageBacklog:
+    """Reference contention backlog: one start time per message."""
+
+    def __init__(self, window):
+        self.window = window
+        self.starts = deque()
+        self.max_inflight = 0
+
+    def inflight(self, start):
+        if self.window <= 0.0:
+            return 0
+        horizon = start - self.window
+        while self.starts and self.starts[0] < horizon:
+            self.starts.popleft()
+        return len(self.starts)
+
+    def add(self, start, messages):
+        if self.window > 0.0:
+            self.starts.extend([start] * messages)
+            self.max_inflight = max(self.max_inflight, len(self.starts))
+
+    def drain(self):
+        self.starts.clear()
+
+
+#: One ``send_timing(src, dst, nbytes, now, messages)`` call, or a drain.
+#: ``now`` is drawn independently per call, so injection starts are not
+#: monotone across senders; times on a 1/1024 s grid make a start land
+#: exactly on the window's edge.
+backlog_ops = st.lists(
+    st.one_of(
+        st.just("drain"),
+        st.tuples(
+            st.integers(0, 3),
+            st.integers(0, 3),
+            st.integers(0, 4000),
+            st.one_of(
+                st.floats(0.0, 0.01, allow_nan=False, allow_infinity=False),
+                st.integers(0, 8).map(lambda k: k / 1024),
+            ),
+            st.integers(1, 8),
+        ),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+# A start exactly on the window's edge; starts out of order across senders.
+@example(window=2 / 1024, ops=[(0, 1, 0, 0.0, 3), (1, 2, 0, 2 / 1024, 1)])
+@example(
+    window=2 / 1024,
+    ops=[(0, 1, 0, 3 / 1024, 2), (1, 2, 0, 0.0, 3), (2, 3, 0, 5 / 1024, 1),
+         "drain", (3, 0, 0, 5 / 1024, 1), (0, 0, 9, 5 / 1024, 4)],
+)
+@given(
+    window=st.sampled_from([0.0, 1e-4, 1e-3, 2 / 1024, 4e-3]),
+    ops=backlog_ops,
+)
+def test_run_length_backlog_matches_per_message_backlog(window, ops):
+    cfg = config(contention_coeff=0.03, drain_window=window)
+    net = NetworkModel(cfg, nprocs=4)
+    ref = PerMessageBacklog(window)
+    for op in ops:
+        if op == "drain":
+            net.drain()
+            ref.drain()
+            continue
+        src, dst, nbytes, now, messages = op
+        t = net.send_timing(src, dst, nbytes, now, messages)
+        contention = 1.0 + cfg.contention_coeff * ref.inflight(t.start)
+        if src == dst:
+            arrival = t.sender_done
+        else:
+            arrival = t.sender_done + cfg.latency * contention + nbytes * cfg.byte_time
+        ref.add(t.start, messages)
+        assert t.contention == contention
+        assert t.arrival == arrival
+        assert net.max_inflight == ref.max_inflight

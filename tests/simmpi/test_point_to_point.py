@@ -11,6 +11,31 @@ def run(machine, program):
     return machine.run(program)
 
 
+class Rank(int):
+    """An ``int`` subclass: accepted as a peer like a plain ``int``."""
+
+
+def exercise(comm, op, peer, tag, collective):
+    """One point-to-point operation of kind ``op``, run to completion."""
+    if op == "isend":
+        yield from comm.wait(comm.isend(peer, 8, tag, _collective=collective))
+    elif op == "irecv":
+        yield from comm.wait(comm.irecv(peer, tag, _collective=collective))
+    elif op == "send":
+        yield from comm.send(peer, 8, tag, _collective=collective)
+    elif op == "recv":
+        yield from comm.recv(peer, tag, _collective=collective)
+    else:
+        yield from comm.sendrecv(peer, 8, send_tag=tag, _collective=collective)
+
+
+#: The operation rank 1 runs to match rank 0's ``op``.
+MIRROR = {
+    "isend": "recv", "send": "recv", "irecv": "send", "recv": "send",
+    "sendrecv": "sendrecv",
+}
+
+
 class TestSendRecv:
     def test_payload_delivered(self, machine4):
         received = {}
@@ -261,3 +286,109 @@ class TestWaitany:
 
         run(machine4, program)
         assert results == [(1, "fast")]
+
+
+OPS = ("isend", "irecv", "send", "recv", "sendrecv")
+
+
+class TestPeerAndTagChecks:
+    """Every point-to-point entry raises the same typed errors."""
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize(
+        "peer, tag, collective, message",
+        [
+            (99, 0, False, "rank 99 out of range for communicator of size 4"),
+            (-1, 0, False,
+             "negative rank -1 (wildcard receives are not supported)"),
+            (True, 0, False, "rank must be an int, got True"),
+            (1.0, 0, False, "rank must be an int, got 1.0"),
+            (1, -1, False, "negative tag -1"),
+            (1, -1, True, "negative tag -1"),
+            (1, COLL_TAG_BASE + 1, False,
+             f"user tags must be < {COLL_TAG_BASE}, got {COLL_TAG_BASE + 1}"),
+            (Rank(1), 0, False, None),
+            (1, COLL_TAG_BASE + 1, True, None),
+        ],
+    )
+    def test_checks(self, machine4, op, peer, tag, collective, message):
+        def program(ctx):
+            comm = ctx.comm
+            if comm.rank == 0:
+                yield from exercise(comm, op, peer, tag, collective)
+            elif comm.rank == 1 and message is None:
+                yield from exercise(comm, MIRROR[op], 0, tag, collective)
+            else:
+                yield ctx.sim.timeout(0.0)
+
+        if message is None:
+            run(machine4, program)
+            assert machine4.contexts[0].comm.world.unmatched_messages() == 0
+        else:
+            with pytest.raises(CommunicationError) as exc:
+                run(machine4, program)
+            assert str(exc.value) == message
+
+
+class TestLabelCounters:
+    """Per-label accounting through every blocking and nonblocking path."""
+
+    @staticmethod
+    def program(blocking):
+        def send(comm, dest, nbytes, tag):
+            if blocking:
+                yield from comm.send(dest, nbytes, tag)
+            else:
+                yield from comm.wait(comm.isend(dest, nbytes, tag))
+
+        def recv(comm, source, tag):
+            if blocking:
+                return (yield from comm.recv(source, tag))
+            return (yield from comm.wait(comm.irecv(source, tag)))
+
+        def program(ctx):
+            comm = ctx.comm
+            if comm.rank == 0:
+                ctx.set_label("A")
+                yield from send(comm, 1, 100, tag=1)
+                ctx.set_label("B")
+                yield from recv(comm, 1, tag=2)
+                ctx.set_label("IDLE")
+                ctx.set_label("A")
+                yield from send(comm, 1, 40, tag=3)
+            elif comm.rank == 1:
+                ctx.set_label("B")
+                yield from recv(comm, 0, tag=1)
+                yield ctx.sim.timeout(1e-3)
+                ctx.set_label("A")
+                yield from send(comm, 0, 10, tag=2)
+                ctx.set_label("C")
+                yield from recv(comm, 0, tag=3)
+            else:
+                yield ctx.sim.timeout(0.0)
+
+        return program
+
+    def test_counters_follow_the_label(self, quiet_config):
+        machine = make_machine(quiet_config, 4)
+        machine.run(self.program(blocking=True))
+        rank0, rank1 = (machine.contexts[r].counters for r in (0, 1))
+        assert (rank0["A"].messages_sent, rank0["A"].bytes_sent) == (2, 140)
+        assert (rank0["B"].messages_sent, rank0["B"].bytes_sent) == (0, 0)
+        assert (rank1["A"].messages_sent, rank1["A"].bytes_sent) == (1, 10)
+        # Rank 0 waits in B for rank 1's reply, sent 1 ms after its receive.
+        assert rank0["B"].wait_time > 1e-3
+        assert rank1["B"].wait_time > 0.0
+        assert rank1["C"].wait_time > 0.0
+        assert rank0["A"].wait_time > 0.0  # buffered sends wait for injection
+        # A label with no activity never gets counters.
+        assert machine.all_labels() == ["A", "B", "C"]
+
+    def test_blocking_and_nonblocking_paths_agree(self, quiet_config):
+        machines = [make_machine(quiet_config, 4) for _ in range(2)]
+        for machine, blocking in zip(machines, (True, False)):
+            machine.run(self.program(blocking))
+        blocking, nonblocking = machines
+        assert blocking.all_labels() == nonblocking.all_labels()
+        for a, b in zip(blocking.contexts, nonblocking.contexts):
+            assert a.counters == b.counters
