@@ -29,8 +29,9 @@ tier policies escalate to simulation when it exceeds their budget.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analytic.descriptors import (
     AllreducePhase,
@@ -404,13 +405,30 @@ class AnalyticReport:
 
 
 class AnalyticPredictor:
-    """Produces :class:`AnalyticReport`\\ s for supported configurations."""
+    """Produces :class:`AnalyticReport`\\ s for supported configurations.
+
+    A predictor evaluates its configuration once: it owns one
+    :class:`AnalyticModel` and remembers each isolated ``E_k``, each
+    window's chain time, the application total and the confidence the
+    first time a :meth:`report` needs them. Later reports compute only
+    windows they have not seen. The memo is exact, not an approximation:
+    every sequence method of the model starts from flushed caches, so its
+    result does not depend on what was evaluated before. Thread-safe; the
+    model's replayed cache state is shared, so evaluations run one at a
+    time under the predictor's lock.
+    """
 
     def __init__(self, machine: MachineConfig, benchmark) -> None:
         self.machine = machine
         self.benchmark = benchmark
         self.desc = describe(benchmark)  # PredictionError for CG/MG/...
         self.profile = machine.analytic_profile()
+        self._lock = threading.Lock()
+        self._model = AnalyticModel(self.profile, self.desc)
+        self._isolated: Optional[dict[str, float]] = None
+        self._chains: dict[tuple[str, ...], float] = {}
+        #: ``(actual, cycle, expected_rel_error)`` once evaluated.
+        self._totals: Optional[tuple[float, float, float]] = None
 
     @classmethod
     def for_config(
@@ -424,9 +442,6 @@ class AnalyticPredictor:
 
         return cls(machine, make_benchmark(benchmark, problem_class, nprocs))
 
-    def _model(self) -> AnalyticModel:
-        return AnalyticModel(self.profile, self.desc)
-
     def report(self, chain_lengths: Sequence[int] = ()) -> AnalyticReport:
         """Full analytic answer: ``E_k``, chain times, app total, confidence."""
         desc = self.desc
@@ -437,22 +452,36 @@ class AnalyticPredictor:
                     f"chain length {length} invalid for {desc.benchmark} "
                     f"(flow of {len(flow)})"
                 )
-        model = self._model()
-        loop_times = {k: model.isolated_time(k) for k in desc.loop_kernels}
-        pre_times = {k: model.isolated_time(k) for k in desc.pre_kernels}
-        post_times = {k: model.isolated_time(k) for k in desc.post_kernels}
-        chain_times: dict[tuple[str, ...], float] = {}
-        for length in chain_lengths:
-            for window in flow.windows(length):
-                if window not in chain_times:
-                    chain_times[window] = model.chain_time(window)
-        actual, cycle, work = model.application_time()
+        with self._lock:
+            model = self._model
+            if self._isolated is None:
+                self._isolated = {
+                    k: model.isolated_time(k)
+                    for k in (
+                        *desc.loop_kernels,
+                        *desc.pre_kernels,
+                        *desc.post_kernels,
+                    )
+                }
+            isolated = self._isolated
+            chain_times: dict[tuple[str, ...], float] = {}
+            for length in chain_lengths:
+                for window in flow.windows(length):
+                    if window not in self._chains:
+                        self._chains[window] = model.chain_time(window)
+                    chain_times[window] = self._chains[window]
+            if self._totals is None:
+                actual, cycle, work = model.application_time()
+                self._totals = (
+                    actual, cycle, model.expected_rel_error(cycle, work)
+                )
+            actual, cycle, rel_error = self._totals
         inputs = PredictionInputs(
             flow=flow,
             iterations=desc.iterations,
-            loop_times=loop_times,
-            pre_times=pre_times,
-            post_times=post_times,
+            loop_times={k: isolated[k] for k in desc.loop_kernels},
+            pre_times={k: isolated[k] for k in desc.pre_kernels},
+            post_times={k: isolated[k] for k in desc.post_kernels},
             chain_times=chain_times,
         )
         return AnalyticReport(
@@ -462,6 +491,6 @@ class AnalyticPredictor:
             flow=flow,
             actual=actual,
             inputs=inputs,
-            expected_rel_error=model.expected_rel_error(cycle, work),
+            expected_rel_error=rel_error,
             steady_cycle=cycle,
         )

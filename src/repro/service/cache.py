@@ -2,7 +2,10 @@
 
 Tier 1 is an in-process LRU with optional TTL holding finished
 :class:`~repro.core.predictor.PredictionReport` objects keyed by the full
-request tuple (benchmark, class, nprocs, chain length, seed). Tier 2 is the
+request tuple (benchmark, class, nprocs, chain length, seed); analytic
+answers are stored seed-free, under (benchmark, class, nprocs, chain
+length, "analytic"), because the closed forms' expected values do not
+depend on the noise stream. Tier 2 is the
 existing Prophesy-style
 :class:`~repro.instrument.database.PerformanceDatabase`: it persists the
 underlying *measurements*, so even when a report ages out of the LRU (or a
@@ -12,7 +15,8 @@ report from stored samples without re-running a single simulation.
 The persistent tier is keyed by the measurement tuple
 (benchmark, class, nprocs, kernel chain) — like
 :class:`~repro.instrument.sweeps.Campaign` memoization it is agnostic to
-the measurement noise seed; only the L1 tier distinguishes seeds.
+the measurement noise seed; only the L1 tier distinguishes seeds, and
+only for simulated and memoized answers.
 """
 
 from __future__ import annotations

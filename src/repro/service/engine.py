@@ -24,7 +24,7 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 from repro import faults, obs
 from repro.analytic.tiers import (
@@ -53,7 +53,7 @@ from repro.instrument.runner import MeasurementConfig
 from repro.instrument.sweeps import CampaignPlan
 from repro.npb import BENCHMARKS, CLASS_NAMES, make_benchmark
 from repro.service.batching import Flight, RequestBatcher
-from repro.service.cache import TieredPredictionCache
+from repro.service.cache import LRUCache, TieredPredictionCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.slo import DEFAULT_OBJECTIVES, SLOMonitor, SLOObjective
 from repro.parallel.keys import cell_key
@@ -61,7 +61,15 @@ from repro.parallel.memo import SimulationMemoStore
 from repro.service.workers import CellOutcome, CellTask, WorkerPool, execute_cell
 from repro.simmachine.machine import MachineConfig, ibm_sp_argonne
 
+if TYPE_CHECKING:
+    from repro.analytic.model import AnalyticPredictor
+
 __all__ = ["PredictRequest", "PredictionService"]
+
+#: Cells whose analytic predictor, with its memo, one service keeps. The
+#: cells come from clients, so the cache is bounded; evicting a cell only
+#: costs its next request one fresh evaluation.
+ANALYTIC_PREDICTOR_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,11 @@ class PredictRequest:
     """One prediction to serve.
 
     ``seed`` selects the measurement-noise stream (distinct seeds are
-    distinct L1 cache entries; the persistent measurement tier is
-    seed-agnostic, exactly like campaign memoization).
+    distinct L1 cache entries for simulated and memoized answers; the
+    persistent measurement tier is seed-agnostic, exactly like campaign
+    memoization). Analytic answers ignore the seed: the closed forms
+    compute expected values, in which the noise drops out, so their L1
+    entry is keyed by :attr:`analytic_key`.
     """
 
     benchmark: str
@@ -103,13 +114,24 @@ class PredictRequest:
 
     @property
     def key(self) -> tuple:
-        """Full identity — the L1 cache key."""
+        """Full identity — the L1 key of simulated and memoized answers."""
         return (
             self.benchmark,
             self.problem_class,
             self.nprocs,
             self.chain_length,
             self.seed,
+        )
+
+    @property
+    def analytic_key(self) -> tuple:
+        """The analytic rung's L1 key: the full identity minus the seed."""
+        return (
+            self.benchmark,
+            self.problem_class,
+            self.nprocs,
+            self.chain_length,
+            TIER_ANALYTIC,
         )
 
     @property
@@ -275,6 +297,10 @@ class PredictionService:
             ),
             window=slo_window,
         )
+        # One memoizing analytic predictor per cell (benchmark, class,
+        # nprocs): every seed, chain length and cross-check of a cell is
+        # answered from its first evaluation.
+        self._predictors = LRUCache(capacity=ANALYTIC_PREDICTOR_CAPACITY)
         self._batcher = RequestBatcher(
             self._dispatch_group, window=batch_window, max_batch=max_batch
         )
@@ -388,7 +414,7 @@ class PredictionService:
         self, request: PredictRequest, t0: float
     ) -> Optional[PredictionReport]:
         """Answer from the closed-form tier, or None to escalate."""
-        analytic_key = request.key + (TIER_ANALYTIC,)
+        analytic_key = request.analytic_key
         report = self._cache.get_report(analytic_key)
         if report is not None:
             self.metrics.l1_hits.inc()
@@ -402,26 +428,38 @@ class PredictionService:
         self.metrics.record_tier(TIER_ANALYTIC, dt)
         return report
 
+    def _analytic_predictor(
+        self, request: PredictRequest
+    ) -> "AnalyticPredictor":
+        """This service's memoizing predictor for the request's cell.
+
+        Raises for unsupported benchmarks, which are therefore never
+        cached. Two threads missing the same cell at once may each build
+        a predictor; both answer identically and the later one is kept.
+        """
+        from repro.analytic.model import AnalyticPredictor
+
+        cell = (request.benchmark, request.problem_class, request.nprocs)
+        predictor = self._predictors.get(cell)
+        if predictor is None:
+            predictor = AnalyticPredictor.for_config(self.machine, *cell)
+            self._predictors.put(cell, predictor)
+        return predictor
+
     def _analytic_report(
         self, request: PredictRequest
     ) -> Optional[PredictionReport]:
-        """One fresh closed-form evaluation, or None (counted escalation).
+        """The closed-form answer, or None (counted escalation).
 
         Escalates on unsupported benchmarks (the descriptor tables cover
         BT/SP/LU), on invalid chain lengths (the simulation path raises the
         matching typed error to the waiter), and whenever the self-reported
         confidence misses the policy's error budget.
         """
-        from repro.analytic.model import AnalyticPredictor
-
         try:
-            predictor = AnalyticPredictor.for_config(
-                self.machine,
-                request.benchmark,
-                request.problem_class,
-                request.nprocs,
+            analytic = self._analytic_predictor(request).report(
+                (request.chain_length,)
             )
-            analytic = predictor.report((request.chain_length,))
         except Exception:  # noqa: BLE001 — any analytic failure escalates
             self.metrics.analytic_escalations.inc()
             return None
@@ -655,16 +693,8 @@ class PredictionService:
         """
         if not self.tier_policy.use_analytic or actual <= 0:
             return
-        from repro.analytic.model import AnalyticPredictor
-
         try:
-            predictor = AnalyticPredictor.for_config(
-                self.machine,
-                request.benchmark,
-                request.problem_class,
-                request.nprocs,
-            )
-            analytic = predictor.report()
+            analytic = self._analytic_predictor(request).report()
         except Exception:  # noqa: BLE001 — unsupported configs score nothing
             return
         self.metrics.record_signed_error(
@@ -744,6 +774,7 @@ class PredictionService:
         self._batcher.close()
         self._pool.shutdown(wait=True)
         self._cache.close()
+        self._predictors.clear()
 
     def __enter__(self) -> "PredictionService":
         return self

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analytic.descriptors import SUPPORTED_BENCHMARKS, describe
 from repro.analytic.model import (
@@ -20,6 +26,38 @@ def _predictor(benchmark="BT", problem_class="W", nprocs=4):
     return AnalyticPredictor.for_config(
         ibm_sp_argonne(), benchmark, problem_class, nprocs
     )
+
+
+#: The class-S and class-W cells of the serving grid.
+SERVE_CELLS = tuple(
+    (benchmark, problem_class, nprocs)
+    for benchmark, procs in (
+        ("BT", (4, 9, 16)),
+        ("SP", (4, 9, 16)),
+        ("LU", (4, 8, 16)),
+    )
+    for problem_class in ("S", "W")
+    for nprocs in procs
+)
+
+#: ``report`` arguments a caller may pass: one length (a served request),
+#: none (the service's cross-check), or several (a pipeline cell).
+LENGTH_REQUESTS = ((), (2,), (3,), (4,), (2, 3, 4))
+
+@functools.cache
+def _fresh_report(cell, lengths):
+    """The report of a predictor that has answered nothing before."""
+    return _predictor(*cell).report(lengths)
+
+
+def _assert_same_report(got, want):
+    assert got.actual == want.actual
+    assert got.inputs.loop_times == want.inputs.loop_times
+    assert got.inputs.pre_times == want.inputs.pre_times
+    assert got.inputs.post_times == want.inputs.post_times
+    assert got.inputs.chain_times == want.inputs.chain_times
+    assert got.expected_rel_error == want.expected_rel_error
+    assert got.steady_cycle == want.steady_cycle
 
 
 class TestDescriptors:
@@ -114,6 +152,55 @@ class TestAnalyticPredictor:
     def test_invalid_chain_length_raises(self, length):
         with pytest.raises(PredictionError, match="chain length"):
             _predictor().report((length,))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(order=st.lists(st.sampled_from(LENGTH_REQUESTS), min_size=1,
+                          max_size=6))
+    def test_reused_predictor_matches_fresh_reports(self, order):
+        # The memo is exact: whatever a predictor answered before, each
+        # report equals a fresh predictor's, float for float.
+        for cell in SERVE_CELLS:
+            predictor = _predictor(*cell)
+            for lengths in order:
+                _assert_same_report(
+                    predictor.report(lengths), _fresh_report(cell, lengths)
+                )
+
+    def test_concurrent_reports_match_fresh_reports(self):
+        # Four threads share one model's replayed cache state; a report
+        # computed while another thread moves that state would differ.
+        cell = ("LU", "W", 8)
+        predictor = _predictor(*cell)
+        barrier = threading.Barrier(4, timeout=30)
+        results: dict = {}
+
+        def ask(lengths):
+            barrier.wait()
+            results[lengths] = predictor.report(lengths)
+
+        asks = ((2,), (3,), (4,), (2, 3, 4))
+        threads = [threading.Thread(target=ask, args=(a,)) for a in asks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert set(results) == set(asks)
+        for lengths, report in results.items():
+            _assert_same_report(report, _fresh_report(cell, lengths))
+
+    def test_invalid_chain_length_leaves_the_memo_usable(self):
+        predictor = _predictor()
+        with pytest.raises(PredictionError, match="chain length"):
+            predictor.report((2, 99))
+        _assert_same_report(
+            predictor.report((2,)), _fresh_report(("BT", "W", 4), (2,))
+        )
 
     def test_documented_bound_is_a_real_constant(self):
         assert 0 < ANALYTIC_REL_ERROR_BOUND <= 0.2

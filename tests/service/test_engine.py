@@ -4,9 +4,11 @@ import threading
 
 import pytest
 
+from repro.analytic.model import AnalyticModel
 from repro.errors import ServiceError, ServiceSaturatedError
 from repro.instrument import MeasurementConfig
 from repro.service import PredictRequest, PredictionService
+from repro.service import engine
 from repro.service.workers import execute_cell
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
@@ -31,6 +33,14 @@ class TestPredictRequest:
         # …but the same measurement plan group for equal seeds:
         assert a.config_key == b.config_key
         assert a.config_key != c.config_key
+
+    def test_analytic_key_ignores_only_the_seed(self):
+        a = PredictRequest("BT", "S", 4, chain_length=2, seed=0)
+        b = PredictRequest("BT", "S", 4, chain_length=3, seed=0)
+        c = PredictRequest("BT", "S", 4, chain_length=2, seed=1)
+        assert a.analytic_key == c.analytic_key
+        assert a.analytic_key != b.analytic_key
+        assert a.analytic_key not in {a.key, c.key}
 
     def test_validation(self):
         with pytest.raises(ServiceError, match="unknown benchmark"):
@@ -145,6 +155,118 @@ class TestServing:
     def test_process_executor_requires_file_database(self):
         with pytest.raises(ServiceError, match="file-backed"):
             make_service(executor="process")
+
+
+@pytest.fixture
+def model_calls(monkeypatch):
+    """Counts AnalyticModel constructions and application_time runs."""
+    calls = {"models": 0, "application_time": 0}
+    init = AnalyticModel.__init__
+    application_time = AnalyticModel.application_time
+
+    def counted_init(self, *args, **kwargs):
+        calls["models"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_application_time(self):
+        calls["application_time"] += 1
+        return application_time(self)
+
+    monkeypatch.setattr(AnalyticModel, "__init__", counted_init)
+    monkeypatch.setattr(
+        AnalyticModel, "application_time", counted_application_time
+    )
+    return calls
+
+
+class TestAnalyticReuse:
+    def test_one_evaluation_answers_every_seed_and_length(self, model_calls):
+        with make_service(
+            executor="inline", batch_window=0.0, tier_policy="balanced"
+        ) as service:
+            reports = {
+                (seed, length): service.predict(
+                    PredictRequest(
+                        "BT", "S", 4, chain_length=length, seed=seed
+                    )
+                )
+                for seed in range(4)
+                for length in (2, 3)
+            }
+            stats = service.stats()
+        assert model_calls == {"models": 1, "application_time": 1}
+        assert stats["l1_hits"] == 6  # every seed after the first
+        for (seed, length), report in reports.items():
+            assert report.tier == "analytic"
+            assert report == reports[(0, length)]
+
+    def test_escalating_cell_builds_one_model(self, model_calls):
+        # SP.S.16 misses the balanced budget: the escalation check and the
+        # cross-check against the memo/simulated answer share one model.
+        with make_service(
+            executor="inline", batch_window=0.0, tier_policy="balanced"
+        ) as service:
+            report = service.predict(PredictRequest("SP", "S", 16))
+            stats = service.stats()
+        assert report.tier == "simulation"
+        assert stats["analytic_escalations"] == 1
+        assert stats["analytic_signed_rel_error"]["count"] == 1
+        assert model_calls == {"models": 1, "application_time": 1}
+
+    def test_memo_answers_keep_one_l1_entry_per_seed(self):
+        with make_service(
+            executor="inline", batch_window=0.0, tier_policy="balanced"
+        ) as service:
+            requests = [PredictRequest("SP", "S", 16, seed=s) for s in (0, 1)]
+            first = [service.predict(r) for r in requests]
+            again = [service.predict(r) for r in requests]
+            stats = service.stats()
+            l1 = service._cache.reports
+            assert all(r.key in l1 for r in requests)
+            # Escalations leave no seed-free analytic entry behind.
+            assert requests[0].analytic_key not in l1
+        # Seed 1 reuses seed 0's stored samples (the persistent tier is
+        # seed-agnostic) but still gets an L1 entry of its own.
+        assert [r.tier for r in first] == ["simulation", "memo"]
+        assert again[0] is first[0] and again[1] is first[1]
+        assert stats["l1_hits"] == 2
+        assert stats["analytic_escalations"] == 2
+
+    def test_predictor_cache_is_bounded_and_released(
+        self, monkeypatch, model_calls
+    ):
+        with make_service(
+            executor="inline", batch_window=0.0, tier_policy="balanced"
+        ) as service:
+            assert (
+                service._predictors.capacity
+                == engine.ANALYTIC_PREDICTOR_CAPACITY
+            )
+        monkeypatch.setattr(engine, "ANALYTIC_PREDICTOR_CAPACITY", 2)
+        service = make_service(
+            executor="inline", batch_window=0.0, tier_policy="balanced"
+        )
+        for nprocs in (4, 9, 16):
+            service.predict(PredictRequest("BT", "W", nprocs))
+        predictors = service._predictors
+        assert len(predictors) == 2
+        assert predictors.stats()["evictions"] == 1
+        # The evicted cell's next seed is an L1 hit; a new length needs a
+        # fresh evaluation, on a fresh model.
+        service.predict(PredictRequest("BT", "W", 4, seed=1))
+        assert model_calls["models"] == 3
+        service.predict(PredictRequest("BT", "W", 4, chain_length=3))
+        assert model_calls["models"] == 4
+        service.close()
+        assert len(predictors) == 0
+
+    def test_unsupported_cells_are_not_cached(self):
+        with make_service(
+            executor="inline", batch_window=0.0, tier_policy="balanced"
+        ) as service:
+            report = service.predict(PredictRequest("CG", "S", 4))
+            assert report.tier == "simulation"
+            assert len(service._predictors) == 0
 
 
 class TestSingleFlight:
