@@ -4,8 +4,9 @@ Drives a BT class S prediction through the serving layer with a
 correlation ID bound, then shows everything the substrate captured:
 
 * structured log lines stamped with the correlation/trace/span IDs;
-* the span tree (client.predict -> service.predict -> service.dispatch
-  -> service.cell -> campaign.run -> measure.chain ...);
+* the span tree (client.predict -> service.dispatch -> service.cell ->
+  campaign.run -> measure.chain ..., with service.predict a second
+  child of client.predict);
 * the merged Prometheus text exposition — the same bytes a running
   ``repro serve --port N`` answers to the ``{"cmd": "metrics"}`` command
   (or ``repro metrics --port N``).

@@ -267,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="simulation memo directory shared with 'repro campaign'; "
-        "warm cells are served without simulating",
+        help="simulation memo directory of whole served cells; cells an "
+        "earlier 'repro serve' stored are served without simulating "
+        "(per-chain entries from 'repro campaign' are not read)",
     )
     serve.add_argument(
         "--fault-plan", default=None, metavar="PATH",

@@ -16,12 +16,12 @@ commodity cluster — and checks:
 
 from __future__ import annotations
 
-from repro.core.kernel import ControlFlow
-from repro.core.predictor import CouplingPredictor, PredictionInputs
+from repro.core.predictor import CouplingPredictor
 from repro.experiments.pipeline import ExperimentPipeline
 from repro.experiments.registry import Experiment, ExperimentResult, register
 from repro.instrument.runner import ApplicationRunner, ChainRunner
 from repro.npb import make_benchmark
+from repro.parallel.worker import measure_inputs
 from repro.simmachine.machine import commodity_cluster_2002
 from repro.util.tables import Table
 
@@ -33,24 +33,8 @@ _CONFIGS = (("BT", "W", 4), ("LU", "W", 4))
 
 def _measure_on(machine, settings, bench_name, cls, procs):
     bench = make_benchmark(bench_name, cls, procs)
-    flow = ControlFlow(bench.loop_kernel_names)
     runner = ChainRunner(bench, machine, settings.measurement)
-    isolated = {
-        k: m.mean for k, m in runner.measure_all_isolated(flow.names).items()
-    }
-    chains = {
-        w: runner.measure(w).mean for w in flow.windows(_CHAIN_LENGTH)
-    }
-    pre = {k: runner.measure((k,)).mean for k in bench.pre_kernel_names}
-    post = {k: runner.measure((k,)).mean for k in bench.post_kernel_names}
-    inputs = PredictionInputs(
-        flow=flow,
-        iterations=bench.iterations,
-        loop_times=isolated,
-        pre_times=pre,
-        post_times=post,
-        chain_times=chains,
-    )
+    inputs = measure_inputs(runner, (_CHAIN_LENGTH,), runner.measure)
     actual = ApplicationRunner(
         bench, machine, seed=settings.application_seed
     ).run().total_time

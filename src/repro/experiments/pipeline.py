@@ -14,7 +14,6 @@ from repro.core.predictor import (
     PredictionInputs,
     SummationPredictor,
 )
-from repro.errors import ExperimentError
 from repro.instrument.runner import (
     ApplicationRunner,
     ChainRunner,
@@ -27,6 +26,7 @@ from repro.parallel.worker import (
     CellResult,
     CellSpec,
     measure_chain,
+    measure_inputs,
     prime_runner_overhead,
     run_application,
 )
@@ -149,67 +149,6 @@ class ExperimentPipeline:
             self._runners[key] = runner
         return runner
 
-    def _base_result(
-        self, benchmark: str, problem_class: str, nprocs: int
-    ) -> tuple[ConfigResult, ChainRunner]:
-        key = (benchmark, problem_class, nprocs)
-        if key in self._results:
-            return self._results[key], self._runner_for(key)
-        runner = self._runner_for(key)
-        bench = runner.benchmark
-        flow = ControlFlow(bench.loop_kernel_names)
-        with obs.span(
-            "pipeline.isolated", benchmark=benchmark, cls=problem_class,
-            nprocs=nprocs,
-        ):
-            isolated = {
-                k: measure_chain(runner, (k,), self.memo).mean
-                for k in flow.names
-            }
-        with obs.span(
-            "pipeline.one_shots", benchmark=benchmark, cls=problem_class,
-            nprocs=nprocs,
-        ):
-            pre = {
-                k: measure_chain(runner, (k,), self.memo).mean
-                for k in bench.pre_kernel_names
-            }
-            post = {
-                k: measure_chain(runner, (k,), self.memo).mean
-                for k in bench.post_kernel_names
-            }
-        with obs.span(
-            "pipeline.application", benchmark=benchmark, cls=problem_class,
-            nprocs=nprocs,
-        ):
-            actual = run_application(
-                ApplicationRunner(
-                    bench,
-                    self.settings.machine,
-                    seed=self.settings.application_seed,
-                ),
-                self.memo,
-            )
-        inputs = PredictionInputs(
-            flow=flow,
-            iterations=bench.iterations,
-            loop_times=isolated,
-            pre_times=pre,
-            post_times=post,
-            chain_times={},
-        )
-        result = ConfigResult(
-            benchmark=benchmark,
-            problem_class=problem_class,
-            nprocs=nprocs,
-            flow=flow,
-            actual=actual,
-            inputs=inputs,
-        )
-        self._results[key] = result
-        obs.get_registry().counter("pipeline_configs_measured").inc()
-        return result, runner
-
     def _analytic_result(
         self,
         benchmark: str,
@@ -274,35 +213,40 @@ class ExperimentPipeline:
             )
             if analytic is not None:
                 return analytic
-        result, runner = self._base_result(benchmark, problem_class, nprocs)
-        chains: dict = dict(result.inputs.chain_times)
-        added = False
+        key = (benchmark, problem_class, nprocs)
+        runner = self._runner_for(key)
+        result = self._results.get(key)
         with obs.span(
-            "pipeline.chains", benchmark=benchmark, cls=problem_class,
+            "pipeline.cell", benchmark=benchmark, cls=problem_class,
             nprocs=nprocs,
         ):
-            for length in chain_lengths:
-                if not 2 <= length <= len(result.flow):
-                    raise ExperimentError(
-                        f"chain length {length} invalid for {benchmark} "
-                        f"(flow of {len(result.flow)})"
-                    )
-                for window in result.flow.windows(length):
-                    if window not in chains:
-                        chains[window] = measure_chain(
-                            runner, window, self.memo
-                        ).mean
-                        added = True
-        if added:
-            result.inputs = PredictionInputs(
-                flow=result.flow,
-                iterations=result.inputs.iterations,
-                loop_times=result.inputs.loop_times,
-                pre_times=result.inputs.pre_times,
-                post_times=result.inputs.post_times,
-                chain_times=chains,
+            inputs = measure_inputs(
+                runner,
+                chain_lengths,
+                lambda kernels: measure_chain(runner, kernels, self.memo),
+                result.inputs if result is not None else None,
             )
-            result._coupling_cache.clear()
+            if result is None:
+                result = ConfigResult(
+                    benchmark=benchmark,
+                    problem_class=problem_class,
+                    nprocs=nprocs,
+                    flow=inputs.flow,
+                    actual=run_application(
+                        ApplicationRunner(
+                            runner.benchmark,
+                            self.settings.machine,
+                            seed=self.settings.application_seed,
+                        ),
+                        self.memo,
+                    ),
+                    inputs=inputs,
+                )
+                self._results[key] = result
+                obs.get_registry().counter("pipeline_configs_measured").inc()
+            elif inputs is not result.inputs:
+                result.inputs = inputs
+                result._coupling_cache.clear()
         return result
 
     def _adopt(self, cell: CellResult) -> ConfigResult:

@@ -15,14 +15,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.core.kernel import ControlFlow
 from repro.core.predictor import PredictionInputs
 from repro.errors import MeasurementError
 from repro.instrument.database import PerformanceDatabase
 from repro.instrument.runner import ChainRunner, MeasurementConfig
 from repro.npb import make_benchmark
 from repro.parallel.memo import SimulationMemoStore
-from repro.parallel.worker import measure_chain, prime_runner_overhead
+from repro.parallel.worker import (
+    measure_chain,
+    measure_inputs,
+    prime_runner_overhead,
+)
 from repro.simmachine.machine import MachineConfig
 
 __all__ = ["CampaignPlan", "Campaign"]
@@ -36,7 +39,6 @@ class CampaignPlan:
     problem_classes: tuple[str, ...]
     proc_counts: tuple[int, ...]
     chain_lengths: tuple[int, ...] = (2,)
-    include_one_shots: bool = True
 
     def __post_init__(self) -> None:
         if not self.problem_classes or not self.proc_counts:
@@ -59,7 +61,6 @@ class CampaignPlan:
         problem_class: str,
         nprocs: int,
         chain_lengths: Sequence[int] = (2,),
-        include_one_shots: bool = True,
     ) -> "CampaignPlan":
         """A single-cell plan — the unit the serving layer batches on.
 
@@ -73,7 +74,6 @@ class CampaignPlan:
             problem_classes=(problem_class,),
             proc_counts=(nprocs,),
             chain_lengths=tuple(sorted(set(chain_lengths))),
-            include_one_shots=include_one_shots,
         )
 
 
@@ -88,7 +88,9 @@ class Campaign:
     #: Optional content-addressed simulation memo (see
     #: :mod:`repro.parallel.memo`) layered *under* the database: a database
     #: miss consults the memo before simulating, so campaigns share
-    #: already-simulated work with pipelines and the serving engine.
+    #: already-simulated work with pipelines. The serving engine does not
+    #: read these entries: it memoizes whole cells only, and its workers
+    #: run campaigns without a memo.
     memo: Optional[SimulationMemoStore] = None
 
     def __post_init__(self) -> None:
@@ -120,43 +122,16 @@ class Campaign:
             cls=problem_class,
             nprocs=nprocs,
         ):
-            inputs = self._run_configuration(problem_class, nprocs)
+            bench = make_benchmark(self.plan.benchmark, problem_class, nprocs)
+            runner = ChainRunner(bench, self.machine, self.measurement)
+            prime_runner_overhead(runner, self.memo)
+            inputs = measure_inputs(
+                runner,
+                self.plan.chain_lengths,
+                lambda kernels: self._measure(runner, kernels),
+            )
         obs.get_registry().counter("campaign_runs_completed").inc()
         return inputs
-
-    def _run_configuration(
-        self, problem_class: str, nprocs: int
-    ) -> PredictionInputs:
-        bench = make_benchmark(self.plan.benchmark, problem_class, nprocs)
-        flow = ControlFlow(bench.loop_kernel_names)
-        runner = ChainRunner(bench, self.machine, self.measurement)
-        prime_runner_overhead(runner, self.memo)
-        loop_times = {
-            k: self._measure(runner, (k,)).mean for k in flow.names
-        }
-        pre: dict[str, float] = {}
-        post: dict[str, float] = {}
-        if self.plan.include_one_shots:
-            pre = {
-                k: self._measure(runner, (k,)).mean
-                for k in bench.pre_kernel_names
-            }
-            post = {
-                k: self._measure(runner, (k,)).mean
-                for k in bench.post_kernel_names
-            }
-        chain_times = {}
-        for length in self.plan.chain_lengths:
-            for window in flow.windows(length):
-                chain_times[window] = self._measure(runner, window).mean
-        return PredictionInputs(
-            flow=flow,
-            iterations=bench.iterations,
-            loop_times=loop_times,
-            pre_times=pre,
-            post_times=post,
-            chain_times=chain_times,
-        )
 
     def run(self) -> dict[tuple[str, int], PredictionInputs]:
         """Measure every cell of the plan; returns inputs per cell."""

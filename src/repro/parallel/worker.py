@@ -13,14 +13,16 @@ The memo-aware measurement helpers here (:func:`measure_chain`,
 serial path in :class:`repro.experiments.pipeline.ExperimentPipeline`, so
 a cache hit replays the exact floats a fresh simulation would produce
 (REP001 determinism) and serial, parallel, and warm-cache runs stay
-bit-identical.
+bit-identical. :func:`measure_inputs` is the paper's §3 measurement
+protocol itself, written once for every caller: each passes the lookup its
+measurements come from.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from repro import faults, obs
 from repro.core.kernel import ControlFlow
@@ -41,6 +43,7 @@ __all__ = [
     "CellSpec",
     "CellResult",
     "run_cell",
+    "measure_inputs",
     "measure_chain",
     "run_application",
     "prime_runner_overhead",
@@ -183,6 +186,50 @@ def run_application(
     return total
 
 
+def measure_inputs(
+    runner: ChainRunner,
+    chain_lengths: Sequence[int],
+    measure: Callable[[Sequence[str]], Measurement],
+    inputs: Optional[PredictionInputs] = None,
+) -> PredictionInputs:
+    """The §3 measurement protocol for the runner's cell.
+
+    Times each loop kernel alone, each pre/post one-shot kernel, and every
+    window of each requested chain length, taking every measurement from
+    ``measure``: plain ``runner.measure``, the memo-backed
+    :func:`measure_chain`, or a campaign's database lookup. Given the
+    ``inputs`` an earlier call returned, only the windows they lack are
+    measured, and the same object comes back when none is missing. Every
+    length is checked before the first measurement.
+    """
+    bench = runner.benchmark
+    flow = ControlFlow(bench.loop_kernel_names)
+    for length in chain_lengths:
+        if not 2 <= length <= len(flow):
+            raise ExperimentError(
+                f"chain length {length} invalid for {bench.name} "
+                f"(flow of {len(flow)})"
+            )
+    if inputs is None:
+        inputs = PredictionInputs(
+            flow=flow,
+            iterations=bench.iterations,
+            loop_times={k: measure((k,)).mean for k in flow.names},
+            pre_times={k: measure((k,)).mean for k in bench.pre_kernel_names},
+            post_times={
+                k: measure((k,)).mean for k in bench.post_kernel_names
+            },
+        )
+    chains = dict(inputs.chain_times)
+    for length in chain_lengths:
+        for window in flow.windows(length):
+            if window not in chains:
+                chains[window] = measure(window).mean
+    if len(chains) == len(inputs.chain_times):
+        return inputs
+    return replace(inputs, chain_times=chains)
+
+
 # -- the worker entry point ------------------------------------------------
 
 
@@ -191,9 +238,9 @@ def run_cell(spec: CellSpec) -> CellResult:
 
     Re-installs the spec's fault plan (process-global state does not cross
     the pool boundary), opens the memo store by path, and measures exactly
-    what :meth:`ExperimentPipeline.config_result` would: isolated loop
-    kernels, one-shot pre/post kernels, every chain window of every
-    requested length, and the full application.
+    what :meth:`ExperimentPipeline.config_result` would: the
+    :func:`measure_inputs` protocol through the memo, then the full
+    application.
     """
     if spec.fault_plan is not None and faults.get_injector() is None:
         faults.install(spec.fault_plan)
@@ -212,13 +259,6 @@ def run_cell(spec: CellSpec) -> CellResult:
     before = obs.counter_snapshot()
     start = time.perf_counter()
     bench = make_benchmark(spec.benchmark, spec.problem_class, spec.nprocs)
-    flow = ControlFlow(bench.loop_kernel_names)
-    for length in spec.chain_lengths:
-        if not 2 <= length <= len(flow):
-            raise ExperimentError(
-                f"chain length {length} invalid for {spec.benchmark} "
-                f"(flow of {len(flow)})"
-            )
     runner = ChainRunner(bench, spec.machine, spec.measurement)
     prime_runner_overhead(runner, store)
     try:
@@ -228,24 +268,11 @@ def run_cell(spec: CellSpec) -> CellResult:
             cls=spec.problem_class,
             nprocs=spec.nprocs,
         ):
-            isolated = {
-                k: measure_chain(runner, (k,), store).mean for k in flow.names
-            }
-            pre = {
-                k: measure_chain(runner, (k,), store).mean
-                for k in bench.pre_kernel_names
-            }
-            post = {
-                k: measure_chain(runner, (k,), store).mean
-                for k in bench.post_kernel_names
-            }
-            chains: dict[tuple[str, ...], float] = {}
-            for length in spec.chain_lengths:
-                for window in flow.windows(length):
-                    if window not in chains:
-                        chains[window] = measure_chain(
-                            runner, window, store
-                        ).mean
+            inputs = measure_inputs(
+                runner,
+                spec.chain_lengths,
+                lambda kernels: measure_chain(runner, kernels, store),
+            )
             actual = run_application(
                 ApplicationRunner(
                     bench, spec.machine, seed=spec.application_seed
@@ -256,14 +283,6 @@ def run_cell(spec: CellSpec) -> CellResult:
         # Always uninstall, even on a raising cell — a pool worker is
         # reused for the next cell and must come back profiler-free.
         profile_data = profiler.stop() if profiler is not None else None
-    inputs = PredictionInputs(
-        flow=flow,
-        iterations=bench.iterations,
-        loop_times=isolated,
-        pre_times=pre,
-        post_times=post,
-        chain_times=chains,
-    )
     return CellResult(
         benchmark=spec.benchmark,
         problem_class=spec.problem_class,

@@ -13,10 +13,12 @@ fresh process starts against a warm database file) the service rebuilds the
 report from stored samples without re-running a single simulation.
 
 The persistent tier is keyed by the measurement tuple
-(benchmark, class, nprocs, kernel chain) — like
-:class:`~repro.instrument.sweeps.Campaign` memoization it is agnostic to
-the measurement noise seed; only the L1 tier distinguishes seeds, and
-only for simulated and memoized answers.
+(benchmark, class, nprocs, kernel chain), like
+:class:`~repro.instrument.sweeps.Campaign` memoization, so it holds the
+samples of one measurement noise seed: the service's own. Requests at any
+other seed measure through an in-memory database of that seed, which the
+service keeps in a bounded :class:`LRUCache`; only the L1 tier keys
+reports by seed, and only for simulated and memoized answers.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ class LRUCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
+
+    def values(self) -> list[Any]:
+        """The cached values, least recently used first (no TTL check)."""
+        with self._lock:
+            return [value for value, _ in self._entries.values()]
 
     def __contains__(self, key: Hashable) -> bool:
         return self.get(key, _MISSING) is not _MISSING

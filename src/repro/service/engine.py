@@ -71,17 +71,25 @@ __all__ = ["PredictRequest", "PredictionService"]
 #: costs its next request one fresh evaluation.
 ANALYTIC_PREDICTOR_CAPACITY = 64
 
+#: Foreign seeds (other than the service's own measurement seed) whose
+#: in-memory measurement database one service keeps. Clients choose the
+#: seeds, so the cache is bounded; evicting a seed only costs its next
+#: cell a fresh simulation.
+SEED_DATABASE_CAPACITY = 16
+
 
 @dataclass(frozen=True)
 class PredictRequest:
     """One prediction to serve.
 
-    ``seed`` selects the measurement-noise stream (distinct seeds are
-    distinct L1 cache entries for simulated and memoized answers; the
-    persistent measurement tier is seed-agnostic, exactly like campaign
-    memoization). Analytic answers ignore the seed: the closed forms
-    compute expected values, in which the noise drops out, so their L1
-    entry is keyed by :attr:`analytic_key`.
+    ``seed`` selects the measurement-noise stream. Distinct seeds are
+    distinct L1 cache entries for simulated and memoized answers, and
+    their measurements never mix: the persistent measurement tier (keyed,
+    like campaign memoization, without the seed) serves only requests at
+    the service's own measurement seed, and every other seed measures
+    through an in-memory database of its own. Analytic answers ignore the
+    seed: the closed forms compute expected values, in which the noise
+    drops out, so their L1 entry is keyed by :attr:`analytic_key`.
     """
 
     benchmark: str
@@ -196,8 +204,9 @@ class PredictionService:
 
     ``cache_dir`` points at a :mod:`repro.parallel` simulation memo
     directory: whole cells found there are served without enqueueing any
-    simulation work, and freshly simulated cells are stored back, so the
-    serving layer shares warmed state with ``repro campaign --cache-dir``.
+    simulation work, and freshly simulated cells are stored back, so a
+    restarted service resumes warm. Only whole-cell entries are read; the
+    per-chain entries ``repro campaign --cache-dir`` writes are not.
 
     ``tier_policy`` selects the serving-ladder rung order (a
     :class:`~repro.analytic.tiers.TierPolicy` or a policy name): under
@@ -301,13 +310,18 @@ class PredictionService:
         # nprocs): every seed, chain length and cross-check of a cell is
         # answered from its first evaluation.
         self._predictors = LRUCache(capacity=ANALYTIC_PREDICTOR_CAPACITY)
+        # One in-memory measurement database per foreign seed: the
+        # persistent tier's keys omit the seed, so sharing it would replay
+        # one seed's samples as another's.
+        self._seed_databases = LRUCache(capacity=SEED_DATABASE_CAPACITY)
         self._batcher = RequestBatcher(
             self._dispatch_group, window=batch_window, max_batch=max_batch
         )
         self._degraded_probe_every = degraded_probe_every
         self._degraded_misses = 0
-        # Guards the degraded-probe counter and the closed flag (the two
-        # pieces of service state mutated after construction).
+        # Guards the degraded-probe counter, the closed flag and the
+        # get-or-create of a seed's database (the service state mutated
+        # after construction).
         self._state_lock = threading.Lock()
         self._closed = False
 
@@ -588,6 +602,7 @@ class PredictionService:
                     ),
                 )
                 return
+        own_seed = first.seed == self.measurement.seed
         task = CellTask(
             plan=plan,
             machine=self.machine,
@@ -595,7 +610,7 @@ class PredictionService:
             application_seed=self.application_seed,
             db_path=(
                 self._cache.db_path
-                if self._executor_kind == "process"
+                if self._executor_kind == "process" and own_seed
                 else None
             ),
         )
@@ -609,7 +624,11 @@ class PredictionService:
                     self._traced_cell,
                     obs.current_context(),
                     task,
-                    self._cache.database,
+                    (
+                        self._cache.database
+                        if own_seed
+                        else self._seed_database(first.seed)
+                    ),
                 )
         except ServiceError as exc:
             self._fail(flights, exc)
@@ -641,6 +660,19 @@ class PredictionService:
             self._finish(flights, outcome)
 
         pool_future.add_done_callback(_done)
+
+    def _seed_database(self, seed: int) -> PerformanceDatabase:
+        """The in-memory measurement database of one foreign seed.
+
+        An evicted database is not closed here (a worker may still be
+        measuring through it); it closes when the last reference goes.
+        """
+        with self._state_lock:
+            database = self._seed_databases.get(seed)
+            if database is None:
+                database = PerformanceDatabase()
+                self._seed_databases.put(seed, database)
+            return database
 
     def _traced_cell(self, context, task, database):
         """Run one cell on a worker thread under the request's trace."""
@@ -775,6 +807,9 @@ class PredictionService:
         self._pool.shutdown(wait=True)
         self._cache.close()
         self._predictors.clear()
+        for database in self._seed_databases.values():
+            database.close()
+        self._seed_databases.clear()
 
     def __enter__(self) -> "PredictionService":
         return self

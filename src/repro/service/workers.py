@@ -40,6 +40,7 @@ from repro.errors import (
 from repro.instrument.database import PerformanceDatabase
 from repro.instrument.runner import ApplicationRunner, Measurement, MeasurementConfig
 from repro.instrument.sweeps import Campaign, CampaignPlan
+from repro.npb import make_benchmark
 from repro.service.cache import ACTUAL_KEY
 from repro.simmachine.machine import MachineConfig
 
@@ -118,7 +119,7 @@ def execute_cell(
             reused += 1
         else:
             bench_run = ApplicationRunner(
-                campaign_benchmark(benchmark, problem_class, nprocs),
+                make_benchmark(benchmark, problem_class, nprocs),
                 task.machine,
                 seed=task.application_seed,
             ).run()
@@ -146,13 +147,6 @@ def execute_cell(
     finally:
         if owns_database:
             db.close()
-
-
-def campaign_benchmark(benchmark: str, problem_class: str, nprocs: int):
-    """Build the benchmark object a cell task refers to."""
-    from repro.npb import make_benchmark
-
-    return make_benchmark(benchmark, problem_class, nprocs)
 
 
 class WorkerPool:

@@ -1,18 +1,8 @@
-"""Property-based tests pinning the coupling algebra's model invariants.
+"""Coupling-algebra properties kept under their original test names.
 
-The four contracted properties (hypothesis, derandomized so tier-1 runs
-are reproducible):
-
-1. coupling values are strictly positive for any positive measurements;
-2. ``C_ij == 1`` exactly when ``P_ij == P_i + P_j`` (Eq. 1's neutral
-   point);
-3. every kernel coefficient is a convex weighted average of the coupling
-   values of the windows containing that kernel (the §3 formula);
-4. the coupling predictor reduces to the summation baseline whenever all
-   couplings equal 1.
-
-Plus supporting invariants: monotonicity in the chain measurements and
-the destructive/constructive ordering against the baseline.
+The rest of the coupling properties live in ``tests/core/test_properties.py``;
+these two reuse its strategies and pin, on their own, the convex-hull bound
+of each coefficient and the reduction to summation at neutral couplings.
 """
 
 import math
@@ -21,113 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coefficients import kernel_coefficients
-from repro.core.coupling import CouplingSet, coupling_value
-from repro.core.kernel import ControlFlow
-from repro.core.predictor import (
-    CouplingPredictor,
-    PredictionInputs,
-    SummationPredictor,
-)
-from repro.util.stats import weighted_average
-
-SETTINGS = dict(max_examples=50, deadline=None, derandomize=True)
-
-kernel_names = st.integers(2, 6).map(
-    lambda n: tuple(f"K{i}" for i in range(n))
-)
-
-positive = st.floats(
-    min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False
-)
-
-coupling_factor = st.floats(
-    min_value=0.25, max_value=4.0, allow_nan=False, allow_infinity=False
-)
-
-
-@st.composite
-def measured_flow(draw):
-    """A cyclic flow, a chain length, and consistent measurements.
-
-    Chain times are constructed as ``factor * sum(isolated)`` so each
-    window's true coupling value is known exactly.
-    """
-    names = draw(kernel_names)
-    flow = ControlFlow(names)
-    length = draw(st.integers(2, len(names)))
-    isolated = {k: draw(positive) for k in names}
-    factors = {w: draw(coupling_factor) for w in flow.windows(length)}
-    chains = {
-        w: factors[w] * sum(isolated[k] for k in w)
-        for w in flow.windows(length)
-    }
-    return flow, length, isolated, chains, factors
-
-
-def make_inputs(flow, isolated, chains, iterations=10):
-    return PredictionInputs(
-        flow=flow,
-        iterations=iterations,
-        loop_times=isolated,
-        chain_times=chains,
-    )
-
-
-# -- property 1: positivity ---------------------------------------------------
-
-
-@settings(**SETTINGS)
-@given(st.lists(positive, min_size=1, max_size=6), coupling_factor)
-def test_coupling_values_are_strictly_positive(parts, factor):
-    value = coupling_value(factor * sum(parts), parts)
-    assert value > 0.0
-
-
-@settings(**SETTINGS)
-@given(measured_flow())
-def test_coefficients_are_strictly_positive(bundle):
-    flow, length, isolated, chains, _ = bundle
-    cs = CouplingSet.from_performances(flow, length, chains, isolated)
-    assert all(c > 0.0 for c in kernel_coefficients(cs).values())
-
-
-# -- property 2: the neutral point --------------------------------------------
-
-
-@settings(**SETTINGS)
-@given(positive, positive)
-def test_pairwise_coupling_is_one_iff_chain_equals_sum(p_i, p_j):
-    # Exactly at P_ij == P_i + P_j the Eq. 1 coupling is exactly 1.
-    assert coupling_value(p_i + p_j, [p_i, p_j]) == 1.0
-
-
-@settings(**SETTINGS)
-@given(positive, positive, coupling_factor)
-def test_pairwise_coupling_deviates_exactly_with_the_chain(p_i, p_j, factor):
-    value = coupling_value(factor * (p_i + p_j), [p_i, p_j])
-    assert math.isclose(value, factor, rel_tol=1e-12)
-    if factor > 1.0:
-        assert value > 1.0
-    elif factor < 1.0:
-        assert value < 1.0
-
-
-# -- property 3: convex weighted-average coefficients --------------------------
-
-
-@settings(**SETTINGS)
-@given(measured_flow())
-def test_coefficients_match_the_weighted_average_formula(bundle):
-    flow, length, isolated, chains, _ = bundle
-    cs = CouplingSet.from_performances(flow, length, chains, isolated)
-    coeffs = kernel_coefficients(cs)
-    for kernel in flow.names:
-        windows = flow.windows_containing(kernel, length)
-        expected = weighted_average(
-            values=[cs[w].value for w in windows],
-            weights=[cs[w].chain_performance for w in windows],
-        )
-        assert math.isclose(coeffs[kernel], expected, rel_tol=1e-12)
+from repro.core.coupling import CouplingSet
+from repro.core.predictor import CouplingPredictor, SummationPredictor
+from tests.core.test_properties import SETTINGS, make_inputs, measured_flow
 
 
 @settings(**SETTINGS)
@@ -143,9 +29,6 @@ def test_coefficients_lie_in_the_convex_hull_of_their_couplings(bundle):
         assert min(own) - 1e-9 <= coeffs[kernel] <= max(own) + 1e-9
 
 
-# -- property 4: reduction to summation ----------------------------------------
-
-
 @settings(**SETTINGS)
 @given(measured_flow(), st.integers(1, 200))
 def test_all_neutral_couplings_reduce_to_summation(bundle, iterations):
@@ -158,33 +41,4 @@ def test_all_neutral_couplings_reduce_to_summation(bundle, iterations):
         CouplingPredictor(length).predict(inputs),
         SummationPredictor().predict(inputs),
         rel_tol=1e-9,
-    )
-
-
-# -- supporting invariants -----------------------------------------------------
-
-
-@settings(**SETTINGS)
-@given(measured_flow(), st.floats(1.01, 3.0))
-def test_prediction_is_monotone_in_chain_times(bundle, inflation):
-    flow, length, isolated, chains, _ = bundle
-    inputs = make_inputs(flow, isolated, chains)
-    inflated = make_inputs(
-        flow, isolated, {w: inflation * t for w, t in chains.items()}
-    )
-    predictor = CouplingPredictor(length)
-    assert predictor.predict(inflated) > predictor.predict(inputs)
-
-
-@settings(**SETTINGS)
-@given(measured_flow(), st.floats(1.05, 3.0))
-def test_destructive_couplings_predict_above_summation(bundle, factor):
-    flow, length, isolated, _, _ = bundle
-    chains = {
-        w: factor * sum(isolated[k] for k in w) for w in flow.windows(length)
-    }
-    inputs = make_inputs(flow, isolated, chains)
-    assert (
-        CouplingPredictor(length).predict(inputs)
-        > SummationPredictor().predict(inputs)
     )

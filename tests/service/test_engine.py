@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.analytic.model import AnalyticModel
-from repro.errors import ServiceError, ServiceSaturatedError
+from repro.errors import MeasurementError, ServiceError, ServiceSaturatedError
 from repro.instrument import MeasurementConfig
 from repro.service import PredictRequest, PredictionService
 from repro.service import engine
@@ -157,6 +157,71 @@ class TestServing:
             make_service(executor="process")
 
 
+def fresh_answer(request):
+    """What a brand-new service answers for one request."""
+    with make_service(executor="inline", batch_window=0.0) as service:
+        return service.predict(request)
+
+
+class TestSeedIsolation:
+    """Each seed is answered from its own measurements, never another's."""
+
+    def test_second_seed_measures_its_own_samples(self):
+        seed0 = PredictRequest("BT", "S", 4, seed=0)
+        seed1 = PredictRequest("BT", "S", 4, seed=1)
+        with make_service(executor="inline", batch_window=0.0) as service:
+            first = service.predict(seed0)
+            second = service.predict(seed1)
+            simulations = service.stats()["simulations"]
+            # Another length of seed 1 reuses seed 1's samples: only the
+            # five triples are new.
+            service.predict(PredictRequest("BT", "S", 4, chain_length=3, seed=1))
+            assert service.stats()["simulations"] == simulations + 5
+        fresh = fresh_answer(seed1)
+        assert second.tier == "simulation"
+        assert (second.actual, second.predictions) == (
+            fresh.actual,
+            fresh.predictions,
+        )
+        assert second.predictions != first.predictions
+
+    def test_restarted_memo_serves_each_seed_its_own_numbers(self, tmp_path):
+        memo = str(tmp_path / "memo")
+        seed1 = PredictRequest("BT", "S", 4, seed=1)
+        with make_service(
+            executor="inline", batch_window=0.0, cache_dir=memo
+        ) as service:
+            service.predict(PredictRequest("BT", "S", 4, seed=0))
+            service.predict(seed1)
+        with make_service(
+            executor="inline", batch_window=0.0, cache_dir=memo
+        ) as restarted:
+            warm = restarted.predict(seed1)
+            assert restarted.stats()["simulations"] == 0
+        fresh = fresh_answer(seed1)
+        assert warm.tier == "memo"
+        assert (warm.actual, warm.predictions) == (
+            fresh.actual,
+            fresh.predictions,
+        )
+
+    def test_seed_databases_are_bounded_and_closed(self, monkeypatch):
+        monkeypatch.setattr(engine, "SEED_DATABASE_CAPACITY", 1)
+        service = make_service(executor="inline", batch_window=0.0)
+        service.predict(PredictRequest("BT", "S", 4, seed=0))
+        assert len(service._seed_databases) == 0  # the service's own seed
+        for seed in (1, 2):
+            service.predict(PredictRequest("BT", "S", 4, seed=seed))
+        databases = service._seed_databases
+        assert len(databases) == 1
+        assert databases.stats()["evictions"] == 1
+        (kept,) = databases.values()
+        service.close()
+        assert len(databases) == 0
+        with pytest.raises(MeasurementError, match="closed"):
+            len(kept)
+
+
 @pytest.fixture
 def model_calls(monkeypatch):
     """Counts AnalyticModel constructions and application_time runs."""
@@ -225,9 +290,9 @@ class TestAnalyticReuse:
             assert all(r.key in l1 for r in requests)
             # Escalations leave no seed-free analytic entry behind.
             assert requests[0].analytic_key not in l1
-        # Seed 1 reuses seed 0's stored samples (the persistent tier is
-        # seed-agnostic) but still gets an L1 entry of its own.
-        assert [r.tier for r in first] == ["simulation", "memo"]
+        # Seed 1 measures its own samples (the persistent tier holds the
+        # service's seed only) and gets an L1 entry of its own.
+        assert [r.tier for r in first] == ["simulation", "simulation"]
         assert again[0] is first[0] and again[1] is first[1]
         assert stats["l1_hits"] == 2
         assert stats["analytic_escalations"] == 2

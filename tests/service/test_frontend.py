@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -269,6 +270,11 @@ def test_client_retry_honours_retry_after_and_recovers(saturable):
     def sleep_and_release(delay):
         sleeps.append(delay)
         gate.release.set()
+        # Back off for real: until the blocked request has its answer (the
+        # admission slot is then free) and then the hinted delay, so the
+        # retries cannot all land before the slot frees on a loaded host.
+        worker.join(timeout=30.0)
+        time.sleep(delay)
 
     retrying = LineClient(
         *address,
