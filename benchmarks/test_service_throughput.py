@@ -156,10 +156,10 @@ def test_single_flight_under_concurrent_identical_load():
     calls = []
     lock = threading.Lock()
 
-    def counting(task, database=None):
+    def counting(task, store=None):
         with lock:
             calls.append(task)
-        return execute_cell(task, database)
+        return execute_cell(task, store)
 
     with PredictionService(
         measurement=MEASUREMENT, execute=counting, batch_window=0.02

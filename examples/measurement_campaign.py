@@ -3,7 +3,8 @@
 Combines three production features:
 
 * :class:`~repro.instrument.sweeps.Campaign` — sweep (class, procs) cells,
-  memoizing every measurement in a sqlite database so re-runs are free
+  memoizing every measurement in a sqlite-backed
+  :class:`~repro.parallel.memo.SimulationMemoStore` so re-runs are free
   (the Prophesy workflow the paper's group built);
 * :func:`~repro.core.uncertainty.prediction_interval` — propagate the
   measurement noise through the coupling pipeline into an error bar, so
@@ -28,9 +29,9 @@ from repro.instrument import (
     CampaignPlan,
     ChainRunner,
     MeasurementConfig,
-    PerformanceDatabase,
 )
 from repro.npb import make_benchmark
+from repro.parallel import SimulationMemoStore
 from repro.simmachine import ibm_sp_argonne
 
 CHAIN = 2
@@ -50,7 +51,7 @@ def main() -> None:
         plan=plan,
         machine=machine,
         measurement=measurement,
-        database=PerformanceDatabase(db_path),
+        memo=SimulationMemoStore(db_path),
     )
     results = campaign.run()
     print(

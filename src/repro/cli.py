@@ -575,12 +575,8 @@ def _cmd_report(output: str, repetitions: int, seed: int) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.core import CouplingPredictor, SummationPredictor
-    from repro.instrument import (
-        Campaign,
-        CampaignPlan,
-        MeasurementConfig,
-        PerformanceDatabase,
-    )
+    from repro.instrument import Campaign, CampaignPlan, MeasurementConfig
+    from repro.parallel import SimulationMemoStore
     from repro.simmachine import ibm_sp_argonne
 
     plan = CampaignPlan(
@@ -589,13 +585,19 @@ def _cmd_sweep(args) -> int:
         proc_counts=tuple(int(p) for p in args.procs.split(",")),
         chain_lengths=tuple(int(c) for c in args.chains.split(",")),
     )
-    campaign = Campaign(
-        plan=plan,
-        machine=ibm_sp_argonne(),
-        measurement=MeasurementConfig(repetitions=args.repetitions, warmup=2),
-        database=PerformanceDatabase(args.db),
-    )
-    results = campaign.run()
+    store = SimulationMemoStore(args.db)
+    try:
+        campaign = Campaign(
+            plan=plan,
+            machine=ibm_sp_argonne(),
+            measurement=MeasurementConfig(
+                repetitions=args.repetitions, warmup=2
+            ),
+            memo=store,
+        )
+        results = campaign.run()
+    finally:
+        store.close()
     length = plan.chain_lengths[0]
     print(
         f"{'class':>5} {'procs':>5} {'summation':>12} "

@@ -128,6 +128,7 @@ class ExperimentPipeline:
         if memo is None or isinstance(memo, SimulationMemoStore):
             self.memo = memo
         else:
+            os.makedirs(memo, exist_ok=True)
             self.memo = SimulationMemoStore(memo)
         self.jobs = jobs
         self.tier_policy = resolve_tier_policy(tier_policy)

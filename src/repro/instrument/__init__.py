@@ -24,7 +24,6 @@ against full runs in the test suite).
 """
 
 from repro.instrument.cache_counters import CacheCounterReport, cache_report
-from repro.instrument.database import PerformanceDatabase
 from repro.instrument.profiler import KernelProfile, ProfileReport, profile_application
 from repro.instrument.runner import (
     ApplicationResult,
@@ -46,7 +45,6 @@ __all__ = [
     "KernelProfile",
     "Measurement",
     "MeasurementConfig",
-    "PerformanceDatabase",
     "ProfileReport",
     "cache_report",
     "profile_application",

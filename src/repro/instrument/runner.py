@@ -111,11 +111,6 @@ class Measurement:
         """Sample statistics of the per-iteration times."""
         return summary(self.samples)
 
-    @property
-    def key(self) -> tuple:
-        """Identity of this measurement in a database."""
-        return (self.benchmark, self.problem_class, self.nprocs, self.kernels)
-
 
 class ChainRunner:
     """Measures kernels and chains of kernels per the paper's protocol."""

@@ -3,10 +3,12 @@
 A :class:`Campaign` runs the full measurement protocol (isolated kernels,
 chain windows, pre/post kernels) over a grid of (class, nprocs)
 configurations, memoizing every measurement in a
-:class:`~repro.instrument.database.PerformanceDatabase`. Re-running a
-campaign against the same database is incremental: only missing
+:class:`~repro.parallel.memo.SimulationMemoStore` (a sqlite file for
+``repro sweep --db``, or a memo directory shared with pipelines). Stored
+samples are keyed by the full machine and measurement protocol, so
+re-running a campaign against the same store is incremental: only missing
 measurements execute — the practical workflow the paper's Prophesy system
-[TG01] was built around.
+[TG01] was built around — and a changed protocol measures afresh.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.core.predictor import PredictionInputs
 from repro.errors import MeasurementError
-from repro.instrument.database import PerformanceDatabase
 from repro.instrument.runner import ChainRunner, MeasurementConfig
 from repro.npb import make_benchmark
 from repro.parallel.memo import SimulationMemoStore
 from repro.parallel.worker import (
-    measure_chain,
     measure_inputs,
     prime_runner_overhead,
+    recall_chain,
 )
 from repro.simmachine.machine import MachineConfig
 
@@ -67,7 +68,7 @@ class CampaignPlan:
         :mod:`repro.service.batching` groups coalesced requests by
         (benchmark, class, nprocs) and turns each group into one of these,
         so a batch shares the runner warm-up and memoizes through the same
-        database a sweep would.
+        store a sweep would.
         """
         return cls(
             benchmark=benchmark,
@@ -79,40 +80,31 @@ class CampaignPlan:
 
 @dataclass
 class Campaign:
-    """Executes a plan, memoizing through a performance database."""
+    """Executes a plan, memoizing every measurement in a store."""
 
     plan: CampaignPlan
     machine: MachineConfig
     measurement: MeasurementConfig = field(default_factory=MeasurementConfig)
-    database: Optional[PerformanceDatabase] = None
-    #: Optional content-addressed simulation memo (see
-    #: :mod:`repro.parallel.memo`) layered *under* the database: a database
-    #: miss consults the memo before simulating, so campaigns share
-    #: already-simulated work with pipelines. The serving engine does not
-    #: read these entries: it memoizes whole cells only, and its workers
-    #: run campaigns without a memo.
+    #: The content-addressed store (see :mod:`repro.parallel.memo`) every
+    #: measurement is looked up in before it is simulated and stored to
+    #: after; an in-memory sqlite store when none is given.
     memo: Optional[SimulationMemoStore] = None
 
     def __post_init__(self) -> None:
-        if self.database is None:
-            self.database = PerformanceDatabase()
+        if self.memo is None:
+            self.memo = SimulationMemoStore(":memory:")
         self.measurements_run = 0
         self.measurements_reused = 0
 
     def _measure(self, runner: ChainRunner, kernels: Sequence[str]):
-        bench = runner.benchmark
-        cached = self.database.get(
-            bench.name, bench.size.problem_class, bench.nprocs, tuple(kernels)
-        )
-        if cached is not None:
+        measured, reused = recall_chain(runner, kernels, self.memo)
+        if reused:
             self.measurements_reused += 1
             obs.get_registry().counter("campaign_measurements_reused").inc()
-            return cached
-        measured = measure_chain(runner, kernels, self.memo)
-        stored = self.database.store_if_absent(measured)
-        self.measurements_run += 1
-        obs.get_registry().counter("campaign_measurements_run").inc()
-        return stored
+        else:
+            self.measurements_run += 1
+            obs.get_registry().counter("campaign_measurements_run").inc()
+        return measured
 
     def run_configuration(self, problem_class: str, nprocs: int) -> PredictionInputs:
         """Measure (or load) one cell; returns ready prediction inputs."""

@@ -9,8 +9,11 @@ lambdas and captured locks out of that path). The result travels back as
 :meth:`PredictionInputs.to_dict`), never live runner or machine objects.
 
 The memo-aware measurement helpers here (:func:`measure_chain`,
-:func:`run_application`, :func:`prime_runner_overhead`) are shared with the
-serial path in :class:`repro.experiments.pipeline.ExperimentPipeline`, so
+:func:`run_application`, :func:`prime_runner_overhead`, and the
+:func:`recall_chain`/:func:`recall_application` forms that also report
+whether the store answered) are shared with the serial path in
+:class:`repro.experiments.pipeline.ExperimentPipeline`, campaigns and the
+serving workers, so
 a cache hit replays the exact floats a fresh simulation would produce
 (REP001 determinism) and serial, parallel, and warm-cache runs stay
 bit-identical. :func:`measure_inputs` is the paper's §3 measurement
@@ -45,7 +48,9 @@ __all__ = [
     "run_cell",
     "measure_inputs",
     "measure_chain",
+    "recall_chain",
     "run_application",
+    "recall_application",
     "prime_runner_overhead",
 ]
 
@@ -127,14 +132,22 @@ def measure_chain(
     kernels: Sequence[str],
     store: Optional[SimulationMemoStore],
 ) -> Measurement:
-    """``runner.measure(kernels)`` with the memo store consulted first.
-
-    Hits reconstruct the post-subtraction :class:`Measurement` (samples +
-    overhead) without counters — callers on the prediction path only
-    consume ``.mean``, and JSON round-trips the floats exactly.
-    """
+    """``runner.measure(kernels)`` with the memo store consulted first."""
     if store is None:
         return runner.measure(kernels)
+    return recall_chain(runner, kernels, store)[0]
+
+
+def recall_chain(
+    runner: ChainRunner, kernels: Sequence[str], store: SimulationMemoStore
+) -> tuple[Measurement, bool]:
+    """The chain's measurement from ``store``, else simulated and stored.
+
+    The flag tells whether the store answered. Hits reconstruct the
+    post-subtraction :class:`Measurement` (samples + overhead) without
+    counters — callers on the prediction path only consume ``.mean``, and
+    JSON round-trips the floats exactly.
+    """
     bench = runner.benchmark
     key = measurement_key(
         runner.machine_config,
@@ -153,13 +166,13 @@ def measure_chain(
             kernels=tuple(kernels),
             samples=tuple(hit["samples"]),
             overhead=hit["overhead"],
-        )
+        ), True
     measured = runner.measure(kernels)
     store.put(
         key,
         {"samples": list(measured.samples), "overhead": measured.overhead},
     )
-    return measured
+    return measured, False
 
 
 def run_application(
@@ -168,6 +181,16 @@ def run_application(
     """The application's total time, memoized on its full identity."""
     if store is None:
         return runner.run().total_time
+    return recall_application(runner, store)[0]
+
+
+def recall_application(
+    runner: ApplicationRunner, store: SimulationMemoStore
+) -> tuple[float, bool]:
+    """The application total from ``store``, else simulated and stored.
+
+    The flag tells whether the store answered.
+    """
     bench = runner.benchmark
     key = application_key(
         runner.machine_config,
@@ -180,10 +203,10 @@ def run_application(
     )
     hit = store.get(key)
     if hit is not None:
-        return hit["total_time"]
+        return hit["total_time"], True
     total = runner.run().total_time
     store.put(key, {"total_time": total})
-    return total
+    return total, False
 
 
 def measure_inputs(
@@ -197,7 +220,7 @@ def measure_inputs(
     Times each loop kernel alone, each pre/post one-shot kernel, and every
     window of each requested chain length, taking every measurement from
     ``measure``: plain ``runner.measure``, the memo-backed
-    :func:`measure_chain`, or a campaign's database lookup. Given the
+    :func:`measure_chain`, or a campaign's counting store lookup. Given the
     ``inputs`` an earlier call returned, only the windows they lack are
     measured, and the same object comes back when none is missing. Every
     length is checked before the first measurement.

@@ -7,8 +7,9 @@ time. This subsystem turns that into a long-lived service:
 * :class:`~repro.service.engine.PredictionService` — the engine: accepts
   :class:`~repro.service.engine.PredictRequest` objects, returns
   :class:`~repro.core.predictor.PredictionReport` objects;
-* :mod:`~repro.service.cache` — two-tier cache: in-process report LRU
-  (with TTL) over the persistent Prophesy-style measurement database;
+* :mod:`~repro.service.cache` — the in-process report LRU (with TTL),
+  the L1 tier over the sqlite measurement store
+  (:class:`~repro.parallel.memo.SimulationMemoStore`);
 * :mod:`~repro.service.batching` — single-flight deduplication of
   identical in-flight requests plus coalescing of distinct ones into
   per-configuration measurement plans;
@@ -44,7 +45,7 @@ from repro.service.api import (
     serve_socket,
 )
 from repro.service.batching import RequestBatcher
-from repro.service.cache import LRUCache, TieredPredictionCache
+from repro.service.cache import LRUCache
 from repro.service.engine import PredictRequest, PredictionService
 from repro.service.frontend import LineClient, ShardFrontend, ShardedServer
 from repro.service.metrics import ServiceMetrics, render_stats
@@ -76,7 +77,6 @@ __all__ = [
     "ShardFrontend",
     "ShardServiceConfig",
     "ShardedServer",
-    "TieredPredictionCache",
     "WorkerPool",
     "counters_payload",
     "error_dict",

@@ -8,9 +8,9 @@ layer:
 2. misses are single-flight deduplicated and coalesced into per-config
    measurement plans (:mod:`repro.service.batching`);
 3. plans run on a bounded worker pool (:mod:`repro.service.workers`)
-   through the persistent measurement tier
-   (:class:`~repro.instrument.database.PerformanceDatabase`), so a warm
-   database answers without simulating at all;
+   through the measurement store
+   (:class:`~repro.parallel.memo.SimulationMemoStore` on sqlite), so a
+   warm database answers without simulating at all;
 4. every step is measured (:mod:`repro.service.metrics`).
 
 The public surface is thread-safe: any number of threads may call
@@ -19,6 +19,7 @@ The public surface is thread-safe: any number of threads may call
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import Future
@@ -48,12 +49,11 @@ from repro.errors import (
     ServiceSaturatedError,
     ServiceTimeoutError,
 )
-from repro.instrument.database import PerformanceDatabase
 from repro.instrument.runner import MeasurementConfig
 from repro.instrument.sweeps import CampaignPlan
 from repro.npb import BENCHMARKS, CLASS_NAMES, make_benchmark
 from repro.service.batching import Flight, RequestBatcher
-from repro.service.cache import LRUCache, TieredPredictionCache
+from repro.service.cache import LRUCache
 from repro.service.metrics import ServiceMetrics
 from repro.service.slo import DEFAULT_OBJECTIVES, SLOMonitor, SLOObjective
 from repro.parallel.keys import cell_key
@@ -71,12 +71,6 @@ __all__ = ["PredictRequest", "PredictionService"]
 #: costs its next request one fresh evaluation.
 ANALYTIC_PREDICTOR_CAPACITY = 64
 
-#: Foreign seeds (other than the service's own measurement seed) whose
-#: in-memory measurement database one service keeps. Clients choose the
-#: seeds, so the cache is bounded; evicting a seed only costs its next
-#: cell a fresh simulation.
-SEED_DATABASE_CAPACITY = 16
-
 
 @dataclass(frozen=True)
 class PredictRequest:
@@ -84,12 +78,11 @@ class PredictRequest:
 
     ``seed`` selects the measurement-noise stream. Distinct seeds are
     distinct L1 cache entries for simulated and memoized answers, and
-    their measurements never mix: the persistent measurement tier (keyed,
-    like campaign memoization, without the seed) serves only requests at
-    the service's own measurement seed, and every other seed measures
-    through an in-memory database of its own. Analytic answers ignore the
-    seed: the closed forms compute expected values, in which the noise
-    drops out, so their L1 entry is keyed by :attr:`analytic_key`.
+    their measurements never mix: the measurement store's keys carry the
+    seed, so one store holds every seed's samples apart. Analytic answers
+    ignore the seed: the closed forms compute expected values, in which
+    the noise drops out, so their L1 entry is keyed by
+    :attr:`analytic_key`.
     """
 
     benchmark: str
@@ -181,16 +174,17 @@ class PredictionService:
     """Batched, cached, metered serving of prediction reports.
 
     Parameters mirror the subsystem layers: cache sizing (``cache_capacity``
-    / ``cache_ttl`` / ``db_path`` or an externally owned ``database``),
-    batching (``batch_window``), the worker pool (``max_workers`` /
-    ``queue_depth`` / ``executor``), and the measurement protocol shared by
-    every cell (``machine`` / ``measurement`` / ``application_seed``).
+    / ``cache_ttl``), the measurement store (``db_path``: ``":memory:"``
+    or a sqlite file), batching (``batch_window``), the worker pool
+    (``max_workers`` / ``queue_depth`` / ``executor``), and the measurement
+    protocol shared by every cell (``machine`` / ``measurement`` /
+    ``application_seed``).
 
     ``execute`` swaps the cell executor (tests inject counting/blocking
     stubs); with ``executor="process"`` the default
     :func:`~repro.service.workers.execute_cell` must be used and
     ``db_path`` must point at a database *file* the worker processes can
-    share.
+    share (every seed's cells measure through it).
 
     Robustness knobs: ``default_timeout`` is the per-request deadline when
     a :meth:`predict` call passes none (misses that exceed it raise
@@ -226,7 +220,6 @@ class PredictionService:
         machine: Optional[MachineConfig] = None,
         measurement: Optional[MeasurementConfig] = None,
         *,
-        database: Optional[PerformanceDatabase] = None,
         db_path: str = ":memory:",
         cache_capacity: int = 1024,
         cache_ttl: Optional[float] = None,
@@ -252,28 +245,15 @@ class PredictionService:
         #: deployment (``repro serve --shards N``); None when standalone.
         self.shard_id = shard_id
         self.tier_policy = resolve_tier_policy(tier_policy)
-        # Content-addressed simulation memo (repro.parallel): consulted
-        # before a cell task is enqueued, so a warm directory serves whole
-        # cells without touching the worker pool at all.
-        self._memo = (
-            SimulationMemoStore(cache_dir) if cache_dir is not None else None
-        )
         self.measurement = measurement or MeasurementConfig()
         self.application_seed = application_seed
         self._clock = clock
-        self._cache = TieredPredictionCache(
-            capacity=cache_capacity,
-            ttl=cache_ttl,
-            database=database,
-            db_path=db_path,
-            clock=clock,
-        )
         if executor == "process":
             if execute is not None:
                 raise ServiceError(
                     "custom execute hooks require a thread/inline executor"
                 )
-            if self._cache.db_path == ":memory:":
+            if db_path == ":memory:":
                 raise ServiceError(
                     "process workers need a file-backed db_path to share "
                     "the persistent tier"
@@ -286,6 +266,21 @@ class PredictionService:
             raise ServiceError(
                 f"degraded_probe_every must be >= 1, got {degraded_probe_every}"
             )
+        # Content-addressed simulation memo (repro.parallel): consulted
+        # before a cell task is enqueued, so a warm directory serves whole
+        # cells without touching the worker pool at all.
+        if cache_dir is not None:
+            os.makedirs(cache_dir, exist_ok=True)
+        self._memo = (
+            SimulationMemoStore(cache_dir) if cache_dir is not None else None
+        )
+        # L1: finished reports. L2: the measurement store every cell task
+        # measures through, one for all seeds.
+        self._reports = LRUCache(
+            capacity=cache_capacity, ttl=cache_ttl, clock=clock
+        )
+        self._db_path = db_path
+        self._store = SimulationMemoStore(db_path)
         self._executor_kind = executor
         self._execute = execute or execute_cell
         self.default_timeout = default_timeout
@@ -310,18 +305,13 @@ class PredictionService:
         # nprocs): every seed, chain length and cross-check of a cell is
         # answered from its first evaluation.
         self._predictors = LRUCache(capacity=ANALYTIC_PREDICTOR_CAPACITY)
-        # One in-memory measurement database per foreign seed: the
-        # persistent tier's keys omit the seed, so sharing it would replay
-        # one seed's samples as another's.
-        self._seed_databases = LRUCache(capacity=SEED_DATABASE_CAPACITY)
         self._batcher = RequestBatcher(
             self._dispatch_group, window=batch_window, max_batch=max_batch
         )
         self._degraded_probe_every = degraded_probe_every
         self._degraded_misses = 0
-        # Guards the degraded-probe counter, the closed flag and the
-        # get-or-create of a seed's database (the service state mutated
-        # after construction).
+        # Guards the degraded-probe counter and the closed flag (the
+        # service state mutated after construction).
         self._state_lock = threading.Lock()
         self._closed = False
 
@@ -385,7 +375,7 @@ class PredictionService:
         """
         t0 = self._clock()
         self.metrics.requests.inc()
-        report = self._cache.get_report(request.key)
+        report = self._cached_report(request.key)
         if report is not None:
             self.metrics.l1_hits.inc()
             dt = self._clock() - t0
@@ -422,6 +412,18 @@ class PredictionService:
             self.metrics.coalesced.inc()
         return future, t0
 
+    def _cached_report(self, key: tuple) -> Optional[PredictionReport]:
+        """The L1 report for ``key``, or None.
+
+        The ``cache.l1.drop`` fault models L1 read corruption: in-process
+        report objects carry no checksum, so the safe failure mode is to
+        treat the entry as lost and recompute (a miss, never garbage).
+        """
+        if faults.check("cache.l1.drop") is not None:
+            self._reports.drop(key)
+            return None
+        return self._reports.get(key)
+
     # -- the analytic rung ----------------------------------------------------
 
     def _serve_analytic(
@@ -429,14 +431,14 @@ class PredictionService:
     ) -> Optional[PredictionReport]:
         """Answer from the closed-form tier, or None to escalate."""
         analytic_key = request.analytic_key
-        report = self._cache.get_report(analytic_key)
+        report = self._cached_report(analytic_key)
         if report is not None:
             self.metrics.l1_hits.inc()
         else:
             report = self._analytic_report(request)
             if report is None:
                 return None
-            self._cache.put_report(analytic_key, report)
+            self._reports.put(analytic_key, report)
         dt = self._clock() - t0
         self.metrics.latency.observe(dt)
         self.metrics.record_tier(TIER_ANALYTIC, dt)
@@ -602,17 +604,12 @@ class PredictionService:
                     ),
                 )
                 return
-        own_seed = first.seed == self.measurement.seed
         task = CellTask(
             plan=plan,
             machine=self.machine,
             measurement=measurement,
             application_seed=self.application_seed,
-            db_path=(
-                self._cache.db_path
-                if self._executor_kind == "process" and own_seed
-                else None
-            ),
+            db_path=self._db_path if self._executor_kind == "process" else None,
         )
         try:
             if self._executor_kind == "process":
@@ -621,14 +618,7 @@ class PredictionService:
                 pool_future = self._pool.submit(self._execute, task)
             else:
                 pool_future = self._pool.submit(
-                    self._traced_cell,
-                    obs.current_context(),
-                    task,
-                    (
-                        self._cache.database
-                        if own_seed
-                        else self._seed_database(first.seed)
-                    ),
+                    self._traced_cell, obs.current_context(), task, self._store
                 )
         except ServiceError as exc:
             self._fail(flights, exc)
@@ -661,20 +651,7 @@ class PredictionService:
 
         pool_future.add_done_callback(_done)
 
-    def _seed_database(self, seed: int) -> PerformanceDatabase:
-        """The in-memory measurement database of one foreign seed.
-
-        An evicted database is not closed here (a worker may still be
-        measuring through it); it closes when the last reference goes.
-        """
-        with self._state_lock:
-            database = self._seed_databases.get(seed)
-            if database is None:
-                database = PerformanceDatabase()
-                self._seed_databases.put(seed, database)
-            return database
-
-    def _traced_cell(self, context, task, database):
+    def _traced_cell(self, context, task, store):
         """Run one cell on a worker thread under the request's trace."""
         with obs.use_context(context), obs.span(
             "service.cell",
@@ -682,7 +659,7 @@ class PredictionService:
             cls=task.plan.problem_classes[0],
             nprocs=task.plan.proc_counts[0],
         ):
-            return self._execute(task, database)
+            return self._execute(task, store)
 
     def _finish(self, flights: list[Flight], outcome) -> None:
         """Build each waiter's report from the cell outcome."""
@@ -708,7 +685,7 @@ class PredictionService:
                 },
                 tier=tier,
             )
-            self._cache.put_report(request.key, report)
+            self._reports.put(request.key, report)
             (self.metrics.l2_hits if warm else self.metrics.misses).inc()
             if not flight.future.done():
                 flight.future.set_result(report)
@@ -762,7 +739,10 @@ class PredictionService:
     def stats(self) -> dict:
         """Service counters plus cache-tier counters, JSON-friendly."""
         snapshot = self.metrics.stats()
-        snapshot["cache"] = self._cache.stats()
+        snapshot["cache"] = {
+            "l1": self._reports.stats(),
+            "l2": {"path": self._db_path, "measurements": len(self._store)},
+        }
         if self._memo is not None:
             snapshot["memo"] = self._memo.stats()
         snapshot["degraded"] = self.degraded
@@ -792,11 +772,6 @@ class PredictionService:
         self.metrics.refresh_gauges()
         return (self.metrics.registry, obs.get_registry())
 
-    @property
-    def database(self) -> PerformanceDatabase:
-        """The persistent measurement tier (shared with campaigns/sweeps)."""
-        return self._cache.database
-
     def close(self) -> None:
         """Stop batching, drain workers, release the cache tiers."""
         with self._state_lock:
@@ -805,11 +780,8 @@ class PredictionService:
             self._closed = True
         self._batcher.close()
         self._pool.shutdown(wait=True)
-        self._cache.close()
+        self._store.close()
         self._predictors.clear()
-        for database in self._seed_databases.values():
-            database.close()
-        self._seed_databases.clear()
 
     def __enter__(self) -> "PredictionService":
         return self

@@ -10,10 +10,9 @@ unbounded buffering).
 
 ``execute_cell`` is a module-level function over picklable dataclasses so
 the pool can be process-based (``kind="process"``); with processes the
-persistent tier must be a database *file* (``db_path``) — each worker opens
-its own connection, and ``INSERT OR IGNORE`` semantics in
-:class:`~repro.instrument.database.PerformanceDatabase` make concurrent
-writers safe.
+measurement store must be a sqlite *file* (``db_path``) — each worker opens
+its own connection, and the store's last-write-wins writes of
+deterministic payloads make concurrent writers safe.
 """
 
 from __future__ import annotations
@@ -37,11 +36,11 @@ from repro.errors import (
     ServiceSaturatedError,
     WorkerCrashError,
 )
-from repro.instrument.database import PerformanceDatabase
-from repro.instrument.runner import ApplicationRunner, Measurement, MeasurementConfig
+from repro.instrument.runner import ApplicationRunner, MeasurementConfig
 from repro.instrument.sweeps import Campaign, CampaignPlan
 from repro.npb import make_benchmark
-from repro.service.cache import ACTUAL_KEY
+from repro.parallel.memo import SimulationMemoStore
+from repro.parallel.worker import recall_application
 from repro.simmachine.machine import MachineConfig
 
 __all__ = ["CellTask", "CellOutcome", "execute_cell", "WorkerPool"]
@@ -79,74 +78,56 @@ class CellOutcome:
 
 
 def execute_cell(
-    task: CellTask, database: Optional[PerformanceDatabase] = None
+    task: CellTask, store: Optional[SimulationMemoStore] = None
 ) -> CellOutcome:
-    """Measure one cell through the persistent tier.
+    """Measure one cell through the measurement store.
 
-    Thread pools pass the service's shared ``database``; process pools leave
-    it ``None`` and the worker opens ``task.db_path`` itself. A fully
-    archived cell runs zero simulations — the campaign memoization *is* the
-    L2 cache replay.
+    Thread pools pass the service's shared ``store``; process pools leave
+    it ``None`` and the worker opens ``task.db_path`` itself. Keys carry
+    the measurement seed, so one store serves every seed. A fully stored
+    cell runs zero simulations — the campaign memoization *is* the L2
+    cache replay.
     """
     stall = faults.check("worker.cell.stall")
     if stall is not None:
         time.sleep(stall.param)
     if faults.check("worker.cell.crash") is not None:
         raise WorkerCrashError("injected worker crash (worker.cell.crash)")
-    # NB: PerformanceDatabase defines __len__, so an empty one is falsy —
+    # NB: SimulationMemoStore defines __len__, so an empty one is falsy —
     # the `is None` test (not truthiness) picks the shared instance.
-    owns_database = database is None
-    db = (
-        PerformanceDatabase(task.db_path or ":memory:")
-        if database is None
-        else database
-    )
+    owns_store = store is None
+    if store is None:
+        store = SimulationMemoStore(task.db_path or ":memory:")
     try:
         campaign = Campaign(
             plan=task.plan,
             machine=task.machine,
             measurement=task.measurement,
-            database=db,
+            memo=store,
         )
         (problem_class, nprocs) = task.plan.configurations()[0]
-        inputs = campaign.run_configuration(problem_class, nprocs)
-        simulations = campaign.measurements_run
-        reused = campaign.measurements_reused
         benchmark = task.plan.benchmark
-        cached_actual = db.get(benchmark, problem_class, nprocs, ACTUAL_KEY)
-        if cached_actual is not None:
-            actual = cached_actual.mean
-            reused += 1
-        else:
-            bench_run = ApplicationRunner(
+        inputs = campaign.run_configuration(problem_class, nprocs)
+        actual, reused_actual = recall_application(
+            ApplicationRunner(
                 make_benchmark(benchmark, problem_class, nprocs),
                 task.machine,
                 seed=task.application_seed,
-            ).run()
-            actual = bench_run.total_time
-            db.store_if_absent(
-                Measurement(
-                    benchmark=benchmark,
-                    problem_class=problem_class,
-                    nprocs=nprocs,
-                    kernels=ACTUAL_KEY,
-                    samples=(actual,),
-                    overhead=0.0,
-                )
-            )
-            simulations += 1
+            ),
+            store,
+        )
         return CellOutcome(
             benchmark=benchmark,
             problem_class=problem_class,
             nprocs=nprocs,
             inputs=inputs,
             actual=actual,
-            simulations=simulations,
-            reused=reused,
+            simulations=campaign.measurements_run + (not reused_actual),
+            reused=campaign.measurements_reused + reused_actual,
         )
     finally:
-        if owns_database:
-            db.close()
+        if owns_store:
+            store.close()
 
 
 class WorkerPool:
@@ -156,8 +137,8 @@ class WorkerPool:
     beyond that raises
     :class:`~repro.errors.ServiceSaturatedError` carrying a retry-after
     estimate instead of queueing unboundedly. ``kind`` selects
-    ``"thread"`` (default — shares the in-process database),
-    ``"process"`` (true parallel simulation; needs a file database), or
+    ``"thread"`` (default — shares the in-process store),
+    ``"process"`` (true parallel simulation; needs a sqlite file), or
     ``"inline"`` (synchronous, for debugging and deterministic tests).
 
     **Worker death.** A task failing with

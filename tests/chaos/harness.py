@@ -1,10 +1,10 @@
 """Deterministic chaos harness for the prediction serving stack.
 
 Drives the *real* service — L1 cache, single-flight batcher, worker pool,
-persistent sqlite tier, wire protocol — from many client threads while a
+sqlite measurement store, wire protocol — from many client threads while a
 seeded :class:`~repro.faults.FaultPlan` fires faults at every layer. The
 cell *simulation* is replaced by :func:`synthetic_execute`, which mirrors
-``execute_cell``'s fault checkpoints and database round-trip but builds
+``execute_cell``'s fault checkpoints and store round-trip but builds
 its measurements arithmetically, so a soak of thousands of requests runs
 in seconds while still exercising every robustness path.
 
@@ -14,7 +14,7 @@ The harness's contract (asserted by ``tests/chaos/test_chaos.py``):
 * **typed outcomes** — every request yields a well-formed JSON response
   (``ok: true`` with predictions, or ``ok: false`` with ``error_type``)
   or an accounted client disconnect;
-* **no silent corruption** — injected sqlite-tier corruption is detected
+* **no silent corruption** — injected memo-store corruption is detected
   and purged, never served (the tamper marker can never reach a client);
 * **metrics reconcile** — obs counters match the injector's per-site fire
   counts, and those fire counts match the pure
@@ -33,17 +33,14 @@ from repro import faults, obs
 from repro.core.kernel import ControlFlow
 from repro.core.predictor import PredictionInputs
 from repro.errors import ClientDisconnectError, WorkerCrashError
-from repro.instrument.runner import Measurement
 from repro.npb import make_benchmark
+from repro.parallel import application_key
 from repro.service import PredictionService, handle_line
 from repro.service.workers import CellOutcome
 
 #: Sentinel planted by the ``db.*.corrupt`` tamper; if it ever shows up in
 #: a served value, corrupted data escaped detection.
 TAMPER_MARKER = 666333.0
-
-#: Pseudo-chain under which synthetic cells archive their "actual" time.
-CHAOS_KEY = ("__CHAOS_ACTUAL__",)
 
 
 def _stable_time(*parts) -> float:
@@ -54,14 +51,15 @@ def _stable_time(*parts) -> float:
     return 1e-4 + (digest % 9999) * 1e-6
 
 
-def synthetic_execute(task, database=None) -> CellOutcome:
+def synthetic_execute(task, store=None) -> CellOutcome:
     """A fast, deterministic stand-in for ``execute_cell``.
 
     Honours the same fault checkpoints (``worker.cell.stall``,
-    ``worker.cell.crash``) and performs a real persistent-tier round-trip
-    (``store_if_absent`` + ``get``) so the ``db.*.corrupt`` sites are
-    exercised — the served ``actual`` comes *from the database*, making
-    undetected corruption observable at the client.
+    ``worker.cell.crash``) and keeps the application total in the store
+    under its ``application_key``, as ``execute_cell`` does, so the
+    ``db.*.corrupt`` sites are exercised: a stored total is served *as
+    read*, making undetected corruption observable at the client, and a
+    miss (or a detected corruption) computes and stores it afresh.
     """
     stall = faults.check("worker.cell.stall")
     if stall is not None:
@@ -91,20 +89,15 @@ def synthetic_execute(task, database=None) -> CellOutcome:
     )
     actual = sum(loop_times.values()) * bench.iterations
 
-    if database is not None:
-        # Round-trip the actual through the sqlite tier so db.write.corrupt
-        # / db.read.corrupt stand between us and the served value.
-        stored = database.store_if_absent(
-            Measurement(
-                benchmark=benchmark,
-                problem_class=problem_class,
-                nprocs=nprocs,
-                kernels=CHAOS_KEY,
-                samples=(actual,),
-                overhead=0.0,
-            )
+    if store is not None:
+        key = application_key(
+            task.machine, benchmark, problem_class, nprocs, task.application_seed
         )
-        actual = stored.mean
+        stored = store.get(key)
+        if stored is None:
+            store.put(key, {"total_time": actual})
+        else:
+            actual = stored["total_time"]
 
     return CellOutcome(
         benchmark=benchmark,

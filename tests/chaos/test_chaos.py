@@ -57,7 +57,6 @@ EXPECTED_ERROR_TYPES = {
     "ServiceSaturatedError",
     "ServiceDegradedError",
     "ServiceTimeoutError",
-    "MeasurementError",  # persistent write corruption after retry
     "ServiceError",
     "ServiceClosedError",
 }

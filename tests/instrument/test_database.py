@@ -1,152 +1,138 @@
-"""Prophesy-like performance database."""
+"""The sqlite memo store as the measurement database of campaigns.
+
+``repro sweep --db`` and the prediction service keep their measurements in
+a sqlite-backed :class:`~repro.parallel.memo.SimulationMemoStore`, written
+through :func:`~repro.parallel.worker.recall_chain`: keyed by machine,
+measurement protocol and chain, verified on read, last write wins.
+"""
 
 import threading
-
-import pytest
+from contextlib import closing
 
 from repro import faults
-from repro.errors import MeasurementError
 from repro.faults import FaultPlan, FaultSpec
-from repro.instrument import ChainRunner, MeasurementConfig, PerformanceDatabase
+from repro.instrument import ChainRunner, MeasurementConfig
 from repro.instrument.runner import Measurement
 from repro.npb import make_benchmark
+from repro.parallel import SimulationMemoStore, measurement_key
+from repro.parallel.worker import measure_chain, recall_chain
 from repro.simmachine import ibm_sp_argonne
 
+MACHINE = ibm_sp_argonne()
+PROTOCOL = MeasurementConfig(repetitions=2)
 
-def meas(kernels=("A",), samples=(1.0, 1.1), cls="S", nprocs=4):
-    return Measurement(
-        benchmark="BT",
-        problem_class=cls,
-        nprocs=nprocs,
-        kernels=tuple(kernels),
-        samples=tuple(samples),
-        overhead=0.01,
-    )
+
+def chain_key(kernels=("A",), nprocs=4, protocol=PROTOCOL):
+    return measurement_key(MACHINE, protocol, "BT", "S", nprocs, kernels)
+
+
+def payload(samples=(1.0, 1.1)):
+    return {"samples": list(samples), "overhead": 0.01}
 
 
 class TestStoreAndGet:
     def test_roundtrip(self):
-        with PerformanceDatabase() as db:
-            original = meas()
-            db.store(original)
-            loaded = db.get("BT", "S", 4, ("A",))
-            assert loaded.samples == original.samples
-            assert loaded.overhead == original.overhead
-            assert loaded.mean == pytest.approx(original.mean)
+        with closing(SimulationMemoStore(":memory:")) as db:
+            db.put(chain_key(), payload())
+            assert db.get(chain_key()) == payload()
 
     def test_missing_returns_none(self):
-        with PerformanceDatabase() as db:
-            assert db.get("BT", "S", 4, ("A",)) is None
-
-    def test_duplicate_rejected(self):
-        with PerformanceDatabase() as db:
-            db.store(meas())
-            with pytest.raises(MeasurementError, match="already stored"):
-                db.store(meas())
+        with closing(SimulationMemoStore(":memory:")) as db:
+            assert db.get(chain_key()) is None
 
     def test_replace_allowed(self):
-        with PerformanceDatabase() as db:
-            db.store(meas(samples=(1.0,)))
-            db.store(meas(samples=(2.0,)), replace=True)
-            assert db.get("BT", "S", 4, ("A",)).samples == (2.0,)
+        with closing(SimulationMemoStore(":memory:")) as db:
+            db.put(chain_key(), payload(samples=(1.0,)))
+            db.put(chain_key(), payload(samples=(2.0,)))
+            assert db.get(chain_key())["samples"] == [2.0]
+            assert len(db) == 1
 
     def test_key_includes_chain_order(self):
-        with PerformanceDatabase() as db:
-            db.store(meas(kernels=("A", "B")))
-            db.store(meas(kernels=("B", "A")))
+        with closing(SimulationMemoStore(":memory:")) as db:
+            db.put(chain_key(("A", "B")), payload())
+            db.put(chain_key(("B", "A")), payload())
             assert len(db) == 2
 
-    def test_iteration_in_insert_order(self):
-        with PerformanceDatabase() as db:
-            db.store(meas(kernels=("A",)))
-            db.store(meas(kernels=("B",)))
-            assert [m.kernels for m in db] == [("A",), ("B",)]
+    def test_key_includes_the_measurement_protocol(self):
+        """Samples of one protocol are never replayed for another."""
+        with closing(SimulationMemoStore(":memory:")) as db:
+            db.put(chain_key(), payload())
+            for other in (
+                MeasurementConfig(repetitions=6),
+                MeasurementConfig(repetitions=2, seed=1),
+            ):
+                assert db.get(chain_key(protocol=other)) is None
 
     def test_persists_to_file(self, tmp_path):
         path = str(tmp_path / "perf.sqlite")
-        with PerformanceDatabase(path) as db:
-            db.store(meas())
-        with PerformanceDatabase(path) as db2:
+        with closing(SimulationMemoStore(path)) as db:
+            db.put(chain_key(), payload())
+        with closing(SimulationMemoStore(path)) as db2:
             assert len(db2) == 1
-            assert db2.get("BT", "S", 4, ("A",)) is not None
+            assert db2.get(chain_key()) == payload()
 
 
 class TestMemoization:
     def test_get_or_measure_runs_once(self):
         bench = make_benchmark("BT", "S", 4)
-        runner = ChainRunner(
-            bench, ibm_sp_argonne(), MeasurementConfig(repetitions=2)
-        )
-        with PerformanceDatabase() as db:
-            first = db.get_or_measure(runner, ("ADD",))
-            second = db.get_or_measure(runner, ("ADD",))
+        runner = ChainRunner(bench, MACHINE, PROTOCOL)
+        with closing(SimulationMemoStore(":memory:")) as db:
+            first, first_reused = recall_chain(runner, ("ADD",), db)
+            second, second_reused = recall_chain(runner, ("ADD",), db)
+            assert (first_reused, second_reused) == (False, True)
             assert first.samples == second.samples
+            assert first.overhead == second.overhead
             assert len(db) == 1
 
 
-class TestStoreIfAbsent:
-    def test_first_write_wins_and_everyone_sees_it(self):
-        with PerformanceDatabase() as db:
-            winner = db.store_if_absent(meas(samples=(1.0,)))
-            loser = db.store_if_absent(meas(samples=(2.0,)))
-            assert winner.samples == (1.0,)
-            assert loser.samples == (1.0,)  # the stored record, not its own
-            assert len(db) == 1
-
-    def test_plain_store_still_rejects_duplicates(self):
-        with PerformanceDatabase() as db:
-            db.store_if_absent(meas())
-            with pytest.raises(MeasurementError, match="already stored"):
-                db.store(meas())
-
-    def test_rows_purged_by_a_concurrent_reader_do_not_spend_the_retry(
+class TestPurgeRace:
+    def test_rows_a_reader_purges_heal_on_the_next_put(
         self, tmp_path, monkeypatch
     ):
-        """Between each of the writer's inserts and its re-read, a reader
-        thread hits ``db.read.corrupt`` and purges the fresh row. The
-        writer's own reads never see corruption, so it must not give up."""
-        path = str(tmp_path / "perf.sqlite")
-        key = ("BT", "S", 4, ("A",))
+        """After each of the writer's puts a reader thread hits
+        ``db.read.corrupt`` and purges the fresh row. Writers never re-read
+        their own write, so the writer neither fails nor retries: its next
+        lookup misses, and the next put heals the row for both handles."""
+        path = tmp_path / "perf.sqlite"
         read_corrupt = FaultPlan(
             specs=(FaultSpec(site="db.read.corrupt", every_nth=1),)
         )
         purges = []
 
-        with PerformanceDatabase(path) as db, PerformanceDatabase(path) as other:
+        with closing(SimulationMemoStore(path)) as db, closing(
+            SimulationMemoStore(path)
+        ) as other:
 
             def corrupt_read():
                 with faults.active(read_corrupt):
-                    purges.append(other.get(*key))
+                    purges.append(other.get(chain_key()))
 
-            class Connection:
-                """The writer's connection: a reader runs after each insert."""
+            write = db._backend.write
 
-                def __init__(self, conn):
-                    self._conn = conn
-                    self._sql = ""
+            def write_then_read(name, body):
+                write(name, body)
+                if len(purges) < 2:
+                    reader = threading.Thread(target=corrupt_read)
+                    reader.start()
+                    reader.join(timeout=30.0)
+                    assert not reader.is_alive()
 
-                def execute(self, sql, *args):
-                    self._sql = sql
-                    return self._conn.execute(sql, *args)
-
-                def commit(self):
-                    self._conn.commit()
-                    if self._sql.startswith("INSERT") and len(purges) < 2:
-                        reader = threading.Thread(target=corrupt_read)
-                        reader.start()
-                        reader.join(timeout=30.0)
-                        assert not reader.is_alive()
-
-            connection = db._connection
-            monkeypatch.setattr(db, "_connection", lambda: Connection(connection()))
-            stored = db.store_if_absent(meas(samples=(1.0,)))
+            monkeypatch.setattr(db._backend, "write", write_then_read)
+            db.put(chain_key(), payload())
+            assert db.get(chain_key()) is None
+            db.put(chain_key(), payload())
             assert purges == [None, None]
-            assert stored.samples == (1.0,)
-            assert other.get(*key) == stored
+            assert other.stats()["corruptions"] == 2
+            db.put(chain_key(), payload())
+            assert db.get(chain_key()) == payload()
+            assert other.get(chain_key()) == payload()
 
 
 class _StubRunner:
     """A fake ChainRunner that counts how many times it measures."""
+
+    machine_config = MACHINE
+    config = PROTOCOL
 
     class _Size:
         problem_class = "S"
@@ -176,7 +162,7 @@ class _StubRunner:
 
 
 class TestConcurrency:
-    """The serving layer hammers one database from a worker pool."""
+    """The serving layer hammers one store from a worker pool."""
 
     def _hammer(self, db, threads=8, keys=4, rounds=25):
         runner = _StubRunner()
@@ -188,7 +174,7 @@ class TestConcurrency:
                 barrier.wait(timeout=10)
                 for i in range(rounds):
                     chain = (f"K{i % keys}",)
-                    got = db.get_or_measure(runner, chain)
+                    got = measure_chain(runner, chain, db)
                     assert got.kernels == chain
             except Exception as exc:  # pragma: no cover — failure path
                 errors.append(exc)
@@ -202,26 +188,26 @@ class TestConcurrency:
         return runner
 
     def test_threaded_get_or_measure_in_memory(self):
-        with PerformanceDatabase() as db:
+        with closing(SimulationMemoStore(":memory:")) as db:
             self._hammer(db)
             assert len(db) == 4  # one row per distinct chain, no dupes
+            assert db.stats()["corruptions"] == 0
 
     def test_threaded_get_or_measure_file_backed(self, tmp_path):
         path = str(tmp_path / "hammer.sqlite")
-        with PerformanceDatabase(path) as db:
+        with closing(SimulationMemoStore(path)) as db:
             self._hammer(db)
             assert len(db) == 4
-        with PerformanceDatabase(path) as reopened:
+        with closing(SimulationMemoStore(path)) as reopened:
             assert len(reopened) == 4
 
     def test_racing_store_if_absent_keeps_one_row(self):
-        with PerformanceDatabase() as db:
+        with closing(SimulationMemoStore(":memory:")) as db:
             barrier = threading.Barrier(8)
-            results = []
 
             def worker(value):
                 barrier.wait(timeout=10)
-                results.append(db.store_if_absent(meas(samples=(value,))))
+                db.put(chain_key(), payload(samples=(value,)))
 
             threads = [
                 threading.Thread(target=worker, args=(float(i),))
@@ -232,5 +218,17 @@ class TestConcurrency:
             for t in threads:
                 t.join()
             assert len(db) == 1
-            stored = db.get("BT", "S", 4, ("A",))
-            assert all(r.samples == stored.samples for r in results)
+            stored = db.get(chain_key())
+            assert stored["samples"][0] in {float(i) for i in range(8)}
+
+
+def test_a_changed_protocol_measures_afresh():
+    """The store replays a chain only for the protocol that measured it."""
+    bench = make_benchmark("BT", "S", 4)
+    with closing(SimulationMemoStore(":memory:")) as db:
+        recall_chain(ChainRunner(bench, MACHINE, PROTOCOL), ("ADD",), db)
+        other = ChainRunner(bench, MACHINE, MeasurementConfig(repetitions=6))
+        measured, reused = recall_chain(other, ("ADD",), db)
+        assert not reused
+        assert measured.samples == other.measure(("ADD",)).samples
+        assert len(db) == 2

@@ -1,14 +1,10 @@
-"""Measurement campaigns with database memoization."""
+"""Measurement campaigns memoized through the simulation store."""
 
 import pytest
 
 from repro.errors import MeasurementError
-from repro.instrument import (
-    Campaign,
-    CampaignPlan,
-    MeasurementConfig,
-    PerformanceDatabase,
-)
+from repro.instrument import Campaign, CampaignPlan, MeasurementConfig
+from repro.parallel import SimulationMemoStore
 from repro.simmachine import ibm_sp_argonne
 
 
@@ -71,20 +67,20 @@ class TestExecution:
             plan=plan,
             machine=ibm_sp_argonne(),
             measurement=measurement,
-            database=PerformanceDatabase(path),
+            memo=SimulationMemoStore(path),
         )
         first.run()
-        first.database.close()
+        first.memo.close()
         resumed = Campaign(
             plan=plan,
             machine=ibm_sp_argonne(),
             measurement=measurement,
-            database=PerformanceDatabase(path),
+            memo=SimulationMemoStore(path),
         )
         resumed.run()
         assert resumed.measurements_run == 0
         assert resumed.measurements_reused == 24
-        resumed.database.close()
+        resumed.memo.close()
 
     def test_inputs_feed_predictors(self, campaign):
         from repro.core import CouplingPredictor, SummationPredictor

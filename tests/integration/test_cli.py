@@ -115,6 +115,26 @@ class TestSweepCommand:
         assert main(args) == 0
         assert "0 run, 12 reused" in capsys.readouterr().out
 
+    def test_sweep_never_replays_another_protocol(self, capsys, tmp_path):
+        """A sweep with more repetitions re-measures every chain instead of
+        replaying the fewer-repetition samples stored under ``--db``."""
+
+        def sweep(db, repetitions):
+            assert main(
+                [
+                    "sweep", "BT", "--classes", "S", "--procs", "4",
+                    "--repetitions", str(repetitions), "--db", db,
+                ]
+            ) == 0
+            return capsys.readouterr().out.splitlines()
+
+        db = str(tmp_path / "sweep.sqlite")
+        sweep(db, 2)
+        rerun = sweep(db, 6)
+        fresh = sweep(str(tmp_path / "fresh.sqlite"), 6)
+        assert "12 run, 0 reused" in rerun[-1]
+        assert rerun[:-1] == fresh[:-1]
+
 
 class TestServeCommand:
     def test_jsonl_session_over_stdin(self, capsys, monkeypatch):
@@ -149,10 +169,12 @@ class TestServeCommand:
              "--executor", "inline", "--batch-window", "0"]
         ) == 0
         capsys.readouterr()
-        from repro.instrument import PerformanceDatabase
+        from repro.parallel import SimulationMemoStore
 
-        with PerformanceDatabase(db) as stored:
-            assert len(stored) == 13  # 12 chain rows + the application total
+        stored = SimulationMemoStore(db)
+        # 12 chain rows, the harness overhead and the application total.
+        assert len(stored) == 14
+        stored.close()
 
 
 class TestReportCommand:

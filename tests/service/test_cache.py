@@ -1,11 +1,15 @@
-"""LRU/TTL cache and the two-tier composition."""
+"""LRU/TTL cache and the service's two-tier composition."""
 
+import sqlite3
 import threading
 
 import pytest
 
-from repro.instrument import PerformanceDatabase
-from repro.service.cache import ACTUAL_KEY, LRUCache, TieredPredictionCache
+from repro.instrument import MeasurementConfig
+from repro.parallel import application_key, digest, measurement_key
+from repro.service import PredictRequest, PredictionService
+from repro.service.cache import LRUCache
+from repro.simmachine import ibm_sp_argonne
 
 
 class FakeClock:
@@ -96,38 +100,38 @@ class TestLRUCache:
 
 
 class TestTieredPredictionCache:
+    """The service's L1 report LRU over its L2 measurement store."""
+
     def test_owns_and_closes_internal_database(self, tmp_path):
-        cache = TieredPredictionCache(db_path=str(tmp_path / "t.sqlite"))
-        assert len(cache.database) == 0
-        cache.close()
-        with pytest.raises(Exception):
-            len(cache.database)
+        service = PredictionService(db_path=str(tmp_path / "t.sqlite"))
+        assert len(service._store) == 0
+        service.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            len(service._store)
 
-    def test_external_database_left_open(self):
-        db = PerformanceDatabase()
-        cache = TieredPredictionCache(database=db)
-        cache.close()
-        assert len(db) == 0  # still usable
-        db.close()
-
-    def test_external_empty_database_is_not_replaced(self):
-        # PerformanceDatabase defines __len__; an empty one is falsy. The
-        # tier must still adopt it (identity, not truthiness).
-        db = PerformanceDatabase()
-        cache = TieredPredictionCache(database=db)
-        assert cache.database is db
-        db.close()
-
-    def test_report_tier_and_stats(self):
-        cache = TieredPredictionCache(capacity=8)
-        key = ("BT", "S", 4, 2, 0)
-        assert cache.get_report(key) is None
-        cache.put_report(key, "report")
-        assert cache.get_report(key) == "report"
-        stats = cache.stats()
-        assert stats["l1"]["hits"] == 1
-        assert stats["l2"]["measurements"] == 0
-        cache.close()
+    def test_report_tier_and_stats(self, tmp_path):
+        db = str(tmp_path / "t.sqlite")
+        with PredictionService(
+            measurement=MeasurementConfig(repetitions=2, warmup=1),
+            db_path=db,
+            executor="inline",
+            batch_window=0.0,
+        ) as service:
+            request = PredictRequest("BT", "S", 4)
+            first = service.predict(request)
+            assert service.predict(request) is first
+            cache = service.stats()["cache"]
+        assert cache["l1"]["hits"] == 1
+        # 12 chains, the harness overhead and the application total.
+        assert cache["l2"] == {"path": db, "measurements": 14}
 
     def test_actual_key_never_collides_with_real_chains(self):
-        assert ACTUAL_KEY[0].startswith("__")
+        machine = ibm_sp_argonne()
+        actual = application_key(machine, "BT", "S", 4, seed=0)
+        chains = [
+            measurement_key(machine, MeasurementConfig(), "BT", "S", 4, k)
+            for k in ((), ("ADD",), ("ADD", "X_SOLVE"))
+        ]
+        assert digest(actual) not in {digest(key) for key in chains}
+        assert {key["kind"] for key in chains} == {"measurement"}
+        assert actual["kind"] == "application"

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.analytic.model import AnalyticModel
-from repro.errors import MeasurementError, ServiceError, ServiceSaturatedError
+from repro.errors import ServiceError, ServiceSaturatedError
 from repro.instrument import MeasurementConfig
 from repro.service import PredictRequest, PredictionService
 from repro.service import engine
@@ -134,7 +134,7 @@ class TestServing:
             assert stats["simulations"] == simulations_cold
 
     def test_execution_errors_propagate_and_count(self):
-        def explode(task, database=None):
+        def explode(task, store=None):
             raise RuntimeError("simulator on fire")
 
         with make_service(
@@ -205,21 +205,68 @@ class TestSeedIsolation:
             fresh.predictions,
         )
 
-    def test_seed_databases_are_bounded_and_closed(self, monkeypatch):
-        monkeypatch.setattr(engine, "SEED_DATABASE_CAPACITY", 1)
-        service = make_service(executor="inline", batch_window=0.0)
-        service.predict(PredictRequest("BT", "S", 4, seed=0))
-        assert len(service._seed_databases) == 0  # the service's own seed
-        for seed in (1, 2):
-            service.predict(PredictRequest("BT", "S", 4, seed=seed))
-        databases = service._seed_databases
-        assert len(databases) == 1
-        assert databases.stats()["evictions"] == 1
-        (kept,) = databases.values()
-        service.close()
-        assert len(databases) == 0
-        with pytest.raises(MeasurementError, match="closed"):
-            len(kept)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_process_workers_reuse_the_store_at_every_seed(self, tmp_path, seed):
+        """Every seed's cell task carries the shared sqlite file, so a later
+        chain length re-simulates only its new windows at any seed."""
+        costs = []
+        with make_service(
+            executor="process",
+            max_workers=1,
+            db_path=str(tmp_path / "perf.sqlite"),
+            batch_window=0.0,
+        ) as service:
+            for length in (2, 3):
+                before = service.stats()["simulations"]
+                service.predict(
+                    PredictRequest("BT", "S", 4, chain_length=length, seed=seed)
+                )
+                costs.append(service.stats()["simulations"] - before)
+        assert costs == [13, 5]
+
+
+class TestSharedStore:
+    def test_two_thread_workers_share_one_sqlite_store(self, tmp_path):
+        """Two cells measured at once by two worker threads through one
+        sqlite store: exact per-cell work, and tier labels that follow it."""
+        db = str(tmp_path / "perf.sqlite")
+        outcomes = []
+        lock = threading.Lock()
+
+        def recording(task, store=None):
+            outcome = execute_cell(task, store)
+            with lock:
+                outcomes.append(
+                    (outcome.nprocs, outcome.simulations, outcome.reused)
+                )
+            return outcome
+
+        def serve(lengths):
+            with make_service(
+                executor="thread",
+                max_workers=2,
+                db_path=db,
+                batch_window=0.0,
+                execute=recording,
+            ) as service:
+                reports = service.predict_many(
+                    [
+                        PredictRequest("BT", "S", n, chain_length=length)
+                        for n in (1, 4)
+                        for length in lengths
+                    ]
+                )
+            outcomes.sort()
+            work = list(outcomes)
+            outcomes.clear()
+            return [r.tier for r in reports], work
+
+        # Cold: 12 measurements + the application run per cell.
+        assert serve((2,)) == (["simulation"] * 2, [(1, 13, 0), (4, 13, 0)])
+        # L=3 adds only the five triples; the rest comes from the store.
+        assert serve((3,)) == (["simulation"] * 2, [(1, 5, 8), (4, 5, 8)])
+        # A restarted service answers both lengths from the store alone.
+        assert serve((2, 3)) == (["memo"] * 4, [(1, 0, 18), (4, 0, 18)])
 
 
 @pytest.fixture
@@ -286,12 +333,12 @@ class TestAnalyticReuse:
             first = [service.predict(r) for r in requests]
             again = [service.predict(r) for r in requests]
             stats = service.stats()
-            l1 = service._cache.reports
+            l1 = service._reports
             assert all(r.key in l1 for r in requests)
             # Escalations leave no seed-free analytic entry behind.
             assert requests[0].analytic_key not in l1
-        # Seed 1 measures its own samples (the persistent tier holds the
-        # service's seed only) and gets an L1 entry of its own.
+        # Seed 1 measures its own samples (the store's keys carry the
+        # seed) and gets an L1 entry of its own.
         assert [r.tier for r in first] == ["simulation", "simulation"]
         assert again[0] is first[0] and again[1] is first[1]
         assert stats["l1_hits"] == 2
@@ -339,10 +386,10 @@ class TestSingleFlight:
         calls = []
         lock = threading.Lock()
 
-        def counting(task, database=None):
+        def counting(task, store=None):
             with lock:
                 calls.append(task)
-            return execute_cell(task, database)
+            return execute_cell(task, store)
 
         with make_service(
             execute=counting, batch_window=0.05, max_workers=2
@@ -372,10 +419,10 @@ class TestBackpressure:
         started = threading.Event()
         release = threading.Event()
 
-        def blocking(task, database=None):
+        def blocking(task, store=None):
             started.set()
             assert release.wait(timeout=30)
-            return execute_cell(task, database)
+            return execute_cell(task, store)
 
         service = make_service(
             execute=blocking,

@@ -3,7 +3,7 @@
 Unit coverage for :mod:`repro.faults` (specs, plans, determinism, the
 injector) plus per-site integration tests: worker crashes flipping the
 service into degraded mode and probes recovering it, request deadlines,
-client retry with backoff, sqlite-tier corruption detection, L1 drops,
+client retry with backoff, memo-store corruption detection, L1 drops,
 and the wire-level disconnect/error typing.
 """
 
@@ -14,7 +14,6 @@ import pytest
 from repro import faults, obs
 from repro.errors import (
     ConfigurationError,
-    MeasurementError,
     ServiceDegradedError,
     ServiceSaturatedError,
     ServiceTimeoutError,
@@ -22,8 +21,8 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.instrument import MeasurementConfig, PerformanceDatabase
-from repro.instrument.runner import Measurement
+from repro.instrument import MeasurementConfig
+from repro.parallel import SimulationMemoStore, measurement_key
 from repro.service import (
     PredictRequest,
     PredictionService,
@@ -32,6 +31,7 @@ from repro.service import (
     serve_jsonl,
 )
 from repro.service.workers import execute_cell
+from repro.simmachine import ibm_sp_argonne
 
 MEASUREMENT = MeasurementConfig(repetitions=2, warmup=1)
 
@@ -236,9 +236,9 @@ class TestTimeouts:
     def test_deadline_raises_typed_timeout(self):
         release = threading.Event()
 
-        def blocking(task, database=None):
+        def blocking(task, store=None):
             assert release.wait(timeout=30)
-            return execute_cell(task, database)
+            return execute_cell(task, store)
 
         service = make_service(
             execute=blocking, batch_window=0.0, default_timeout=0.05
@@ -256,9 +256,9 @@ class TestTimeouts:
     def test_explicit_timeout_overrides_default(self):
         release = threading.Event()
 
-        def blocking(task, database=None):
+        def blocking(task, store=None):
             assert release.wait(timeout=30)
-            return execute_cell(task, database)
+            return execute_cell(task, store)
 
         service = make_service(
             execute=blocking, batch_window=0.0, default_timeout=300.0
@@ -363,61 +363,41 @@ class TestClientRetry:
             assert flaky.calls == 1
 
 
-def sample_measurement(**overrides):
-    fields = dict(
-        benchmark="BT",
-        problem_class="S",
-        nprocs=4,
-        kernels=("k1", "k2"),
-        samples=(1.0, 1.1, 0.9),
-        overhead=0.01,
-    )
-    fields.update(overrides)
-    return Measurement(**fields)
+KEY = measurement_key(ibm_sp_argonne(), MEASUREMENT, "BT", "S", 4, ("k1", "k2"))
+PAYLOAD = {"samples": [1.0, 1.1, 0.9], "overhead": 0.01}
 
 
 class TestDatabaseIntegrity:
     def test_read_corruption_is_detected_purged_and_counted(self):
-        with PerformanceDatabase() as db:
-            db.store(sample_measurement())
-            key = ("BT", "S", 4, ("k1", "k2"))
-            with faults.active(
-                plan(FaultSpec(site="db.read.corrupt", every_nth=1, max_fires=1))
-            ):
-                assert db.get(*key) is None  # corrupted read → miss
-            counter = obs.get_registry().counter("cache_corruption_detected")
-            assert counter.value == 1
-            assert len(db) == 0  # the bad row was purged
-            # Re-measuring after the purge works again.
-            db.store(sample_measurement())
-            assert db.get(*key) is not None
+        store = SimulationMemoStore(":memory:")
+        store.put(KEY, PAYLOAD)
+        with faults.active(
+            plan(FaultSpec(site="db.read.corrupt", every_nth=1, max_fires=1))
+        ):
+            assert store.get(KEY) is None  # corrupted read → miss
+        counter = obs.get_registry().counter("cache_corruption_detected")
+        assert counter.value == 1
+        assert len(store) == 0  # the bad row was purged
+        # Re-measuring after the purge works again.
+        store.put(KEY, PAYLOAD)
+        assert store.get(KEY) == PAYLOAD
+        store.close()
 
     def test_write_corruption_self_heals_via_retry(self):
-        with PerformanceDatabase() as db:
-            with faults.active(
-                plan(FaultSpec(site="db.write.corrupt", every_nth=1, max_fires=1))
-            ):
-                stored = db.store_if_absent(sample_measurement())
-            assert stored.samples == (1.0, 1.1, 0.9)
-            assert len(db) == 1
-            counter = obs.get_registry().counter("cache_corruption_detected")
-            assert counter.value == 1
-
-    def test_persistent_write_corruption_raises_typed_error(self):
-        with PerformanceDatabase() as db:
-            with faults.active(
-                plan(FaultSpec(site="db.write.corrupt", every_nth=1))
-            ):
-                with pytest.raises(MeasurementError, match="integrity"):
-                    db.store_if_absent(sample_measurement())
-
-    def test_legacy_rows_without_checksum_are_accepted(self):
-        with PerformanceDatabase() as db:
-            db.store(sample_measurement())
-            with db._lock:
-                db._connection().execute("UPDATE measurements SET checksum=NULL")
-                db._connection().commit()
-            assert db.get("BT", "S", 4, ("k1", "k2")) is not None
+        """A payload rotted on write is caught by the next read; the
+        re-measurement that miss triggers stores it afresh."""
+        store = SimulationMemoStore(":memory:")
+        with faults.active(
+            plan(FaultSpec(site="db.write.corrupt", every_nth=1, max_fires=1))
+        ):
+            store.put(KEY, PAYLOAD)
+            assert store.get(KEY) is None
+            store.put(KEY, PAYLOAD)
+        assert store.get(KEY) == PAYLOAD
+        assert len(store) == 1
+        counter = obs.get_registry().counter("cache_corruption_detected")
+        assert counter.value == 1
+        store.close()
 
 
 class TestCacheDrop:

@@ -205,10 +205,10 @@ class _Gate:
         self.release = threading.Event()
         self.entered = threading.Event()
 
-    def __call__(self, task, database=None):
+    def __call__(self, task, store=None):
         self.entered.set()
         assert self.release.wait(timeout=30.0), "gate never released"
-        return synthetic_execute(task, database)
+        return synthetic_execute(task, store)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Worker pool backpressure and cell execution."""
 
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -9,9 +10,9 @@ from repro.errors import (
     ServiceError,
     ServiceSaturatedError,
 )
-from repro.instrument import MeasurementConfig, PerformanceDatabase
+from repro.instrument import MeasurementConfig
 from repro.instrument.sweeps import CampaignPlan
-from repro.service.cache import ACTUAL_KEY
+from repro.parallel import SimulationMemoStore, application_key
 from repro.service.workers import CellTask, WorkerPool, execute_cell
 from repro.simmachine import ibm_sp_argonne
 
@@ -41,30 +42,34 @@ class TestCellTask:
 
 class TestExecuteCell:
     def test_runs_and_archives_everything(self):
-        with PerformanceDatabase() as db:
-            outcome = execute_cell(cell_task(), database=db)
+        with closing(SimulationMemoStore(":memory:")) as store:
+            outcome = execute_cell(cell_task(), store=store)
             assert outcome.actual > 0
-            assert outcome.simulations > 0
+            assert outcome.simulations == 13
             assert outcome.reused == 0
-            # 5 isolated + 2 one-shots + 5 pairs + the application total.
-            assert len(db) == 13
-            assert db.get("BT", "S", 4, ACTUAL_KEY) is not None
+            # 5 isolated + 2 one-shots + 5 pairs, the harness overhead and
+            # the application total.
+            assert len(store) == 14
+            actual = store.get(
+                application_key(ibm_sp_argonne(), "BT", "S", 4, seed=7)
+            )
+            assert actual == {"total_time": outcome.actual}
 
     def test_warm_database_runs_zero_simulations(self):
-        with PerformanceDatabase() as db:
-            first = execute_cell(cell_task(), database=db)
-            second = execute_cell(cell_task(), database=db)
+        with closing(SimulationMemoStore(":memory:")) as store:
+            first = execute_cell(cell_task(), store=store)
+            second = execute_cell(cell_task(), store=store)
             assert second.simulations == 0
             assert second.reused == first.simulations
             assert second.actual == pytest.approx(first.actual)
             assert second.inputs == first.inputs
 
     def test_shared_empty_database_is_used_not_replaced(self):
-        # Regression: PerformanceDatabase.__len__ makes empty stores falsy;
+        # Regression: SimulationMemoStore.__len__ makes empty stores falsy;
         # execute_cell must adopt the shared store by identity.
-        with PerformanceDatabase() as db:
-            execute_cell(cell_task(), database=db)
-            assert len(db) > 0
+        with closing(SimulationMemoStore(":memory:")) as store:
+            execute_cell(cell_task(), store=store)
+            assert len(store) > 0
 
 
 class TestWorkerPool:
